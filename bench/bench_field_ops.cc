@@ -12,11 +12,12 @@
  * Table mode:
  *     bench_field_ops --table [--reps=N] [--out=BENCH_ff_dispatch.json]
  * times every batch field entry point (mul/sqr/mulc/add/sub/pow/
- * inverse) under every SIMD ISA arm this host supports, reporting
- * medianSeconds and the speedup over the portable arm. Before an arm
- * is timed its output is compared limb-for-limb against portable, so
- * a speedup can never come from a wrong answer. The committed
- * BENCH_ff_dispatch.json at the repo root is an --out run.
+ * inverse) and one NTT butterfly layer under every SIMD ISA arm this
+ * host supports, reporting medianSeconds and the speedup over the
+ * portable arm. Before an arm is timed its output is compared
+ * limb-for-limb against portable, so a speedup can never come from a
+ * wrong answer. The committed BENCH_ff_dispatch.json at the repo root
+ * is an --out run.
  */
 
 #include <benchmark/benchmark.h>
@@ -175,11 +176,6 @@ struct Op {
     const char *name;
     void (*run)(std::vector<TFr> &out, const std::vector<TFr> &a,
                 const std::vector<TFr> &b);
-    //! Output rides in [0, 2p); canonicalize before the cross-arm
-    //! compare. The lazy rows time the ff::*BatchLazy entry points
-    //! next to their strict twins so the committed table shows the
-    //! saved final-subtract directly.
-    bool lazy = false;
 };
 
 const BigInt<2> kPowExp = BigInt<2>::fromHex("1f3a9");
@@ -210,40 +206,8 @@ const Op kOps[] = {
         const std::vector<TFr> &b) {
          subBatch(out.data(), a.data(), b.data(), a.size());
      }},
-    {"mul-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         mulBatchLazy(out.data(), a.data(), b.data(), a.size());
-     },
-     true},
-    {"sqr-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &) {
-         sqrBatchLazy(out.data(), a.data(), a.size());
-     },
-     true},
-    {"mulc-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         mulcBatchLazy(out.data(), a.data(), b[0], a.size());
-     },
-     true},
-    {"add-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         addBatchLazy(out.data(), a.data(), b.data(), a.size());
-     },
-     true},
-    {"sub-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         subBatchLazy(out.data(), a.data(), b.data(), a.size());
-     },
-     true},
     // One NTT layer over n lane pairs (u in `out`, v/scratch in
-    // static buffers): the shape nttInPlace runs per iteration. The
-    // strict/lazy pair shares the same copies, so their ratio
-    // isolates the butterfly arithmetic.
+    // static buffers): the shape nttInPlace runs per iteration.
     {"butterfly",
      [](std::vector<TFr> &out, const std::vector<TFr> &a,
         const std::vector<TFr> &b) {
@@ -254,17 +218,6 @@ const Op kOps[] = {
          ntt::butterflyRows(out.data(), v.data(), a.data(), a.size(),
                             scratch.data());
      }},
-    {"butterfly-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         static std::vector<TFr> v, scratch;
-         out = a;
-         v = b;
-         scratch.resize(a.size());
-         ntt::butterflyRowsLazy(out.data(), v.data(), a.data(),
-                                a.size(), scratch.data());
-     },
-     true},
     {"pow",
      [](std::vector<TFr> &out, const std::vector<TFr> &a,
         const std::vector<TFr> &) {
@@ -308,14 +261,9 @@ run(std::size_t reps, const std::string &out_path)
                 simd::setActiveIsa(isa);
                 const char *impl = simd::kernels4(isa).impl;
                 op.run(got, a, b);
-                // Lazy rows land in [0, 2p): canonicalize a copy so
-                // the cross-arm check still compares limb-for-limb.
-                std::vector<TFr> cmp = got;
-                if (op.lazy)
-                    canonicalizeBatch(cmp.data(), cmp.size());
                 if (isa == simd::Isa::Portable) {
-                    ref = cmp;
-                } else if (!limbsEqual(cmp, ref)) {
+                    ref = got;
+                } else if (!limbsEqual(got, ref)) {
                     std::fprintf(stderr,
                                  "FAIL: %s/%s diverges from portable "
                                  "at n=%zu\n",

@@ -1,55 +1,15 @@
 #include "msm/batch_affine.hh"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 
 namespace gzkp::msm {
 
 namespace {
 
 // Atomics: engines resolve options from runtime worker threads while
-// tests flip the defaults between runs (same pattern as the runtime's
-// GZKP_THREADS default). Auto means "re-read the environment".
+// tests pin the defaults between runs. Auto means "not pinned".
 std::atomic<Accumulator> g_accumulator{Accumulator::Auto};
 std::atomic<GlvMode> g_glv{GlvMode::Auto};
-
-std::string
-lowered(const char *s)
-{
-    std::string out;
-    for (; s && *s; ++s)
-        out.push_back(char(std::tolower(*s)));
-    return out;
-}
-
-Accumulator
-accumulatorFromEnv()
-{
-    std::string v = lowered(std::getenv("GZKP_ACCUMULATOR"));
-    if (v.empty() || v == "batchaffine" || v == "batch-affine" ||
-        v == "on" || v == "1")
-        return Accumulator::BatchAffine;
-    if (v == "jacobian" || v == "off" || v == "0")
-        return Accumulator::Jacobian;
-    throw std::invalid_argument("GZKP_ACCUMULATOR: expected "
-                                "\"batchaffine\" or \"jacobian\", got "
-                                "\"" + v + "\"");
-}
-
-GlvMode
-glvFromEnv()
-{
-    std::string v = lowered(std::getenv("GZKP_GLV"));
-    if (v.empty() || v == "on" || v == "1")
-        return GlvMode::On;
-    if (v == "off" || v == "0")
-        return GlvMode::Off;
-    throw std::invalid_argument("GZKP_GLV: expected \"on\" or "
-                                "\"off\", got \"" + v + "\"");
-}
 
 } // namespace
 
@@ -57,7 +17,7 @@ Accumulator
 defaultAccumulator()
 {
     Accumulator a = g_accumulator.load(std::memory_order_relaxed);
-    return a == Accumulator::Auto ? accumulatorFromEnv() : a;
+    return a == Accumulator::Auto ? Accumulator::BatchAffine : a;
 }
 
 void
@@ -70,7 +30,7 @@ GlvMode
 defaultGlvMode()
 {
     GlvMode m = g_glv.load(std::memory_order_relaxed);
-    return m == GlvMode::Auto ? glvFromEnv() : m;
+    return m == GlvMode::Auto ? GlvMode::On : m;
 }
 
 void

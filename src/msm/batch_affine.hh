@@ -53,24 +53,23 @@ namespace gzkp::msm {
 
 /** Bucket accumulation strategy for the CPU MSM engines. */
 enum class Accumulator {
-    Auto,        //!< GZKP_ACCUMULATOR env, default BatchAffine
+    Auto,        //!< the process default (BatchAffine unless pinned)
     Jacobian,    //!< the original mixed-add path
     BatchAffine, //!< shared-inversion affine scheduler
 };
 
 /** GLV decomposition switch for GLV-capable curves. */
 enum class GlvMode {
-    Auto, //!< GZKP_GLV env, default On (for capable curves)
+    Auto, //!< the process default (On unless pinned; capable curves)
     Off,
     On,
 };
 
 /**
  * Process-wide defaults behind Accumulator::Auto / GlvMode::Auto:
- * the GZKP_ACCUMULATOR ("jacobian" | "batchaffine") and GZKP_GLV
- * ("on"/"1" | "off"/"0") environment variables, both defaulting to
- * the fast path. setDefault*() overrides the environment (pass Auto
- * to drop back to it); used by tests and the differential registry.
+ * the fast path (BatchAffine, GLV on) unless pinned. setDefault*()
+ * pins a strategy (pass Auto to unpin); tests and the differential
+ * registry use it as the oracle seam.
  */
 Accumulator defaultAccumulator();
 void setDefaultAccumulator(Accumulator a);
@@ -237,35 +236,14 @@ class BatchAffineAccumulator
             px_[i] = staged_[i].p.x;
             py_[i] = staged_[i].p.y;
         }
-        if (ff::lazyEligible<Field>() && ff::lazyEnabled()) {
-            // Lazy tier: the row chain rides in [0, 2p). The y3 row
-            // ends in a *strict* multiply-then-subtract (a strict
-            // Montgomery multiply absorbs lazy operands and lands
-            // canonical), so only x3 needs an explicit reduction
-            // before write-back -- Affine coordinates must be
-            // canonical because add() detects doubling/cancellation
-            // by raw-limb equality.
-            ff::subBatchLazy(lambda_.data(), py_.data(), ay_.data(), n);
-            ff::mulBatchLazy(lambda_.data(), lambda_.data(),
-                             denoms_.data(), n);
-            ff::sqrBatchLazy(x3_.data(), lambda_.data(), n);
-            ff::subBatchLazy(x3_.data(), x3_.data(), ax_.data(), n);
-            ff::subBatchLazy(x3_.data(), x3_.data(), px_.data(), n);
-            ff::subBatchLazy(ax_.data(), ax_.data(), x3_.data(), n);
-            ff::mulBatch(ax_.data(), lambda_.data(), ax_.data(), n);
-            ff::subBatch(ay_.data(), ax_.data(), ay_.data(), n);
-            ff::canonicalizeBatch(x3_.data(), n);
-        } else {
-            ff::subBatch(lambda_.data(), py_.data(), ay_.data(), n);
-            ff::mulBatch(lambda_.data(), lambda_.data(),
-                         denoms_.data(), n);
-            ff::sqrBatch(x3_.data(), lambda_.data(), n);
-            ff::subBatch(x3_.data(), x3_.data(), ax_.data(), n);
-            ff::subBatch(x3_.data(), x3_.data(), px_.data(), n);
-            ff::subBatch(ax_.data(), ax_.data(), x3_.data(), n);
-            ff::mulBatch(ax_.data(), lambda_.data(), ax_.data(), n);
-            ff::subBatch(ay_.data(), ax_.data(), ay_.data(), n);
-        }
+        ff::subBatch(lambda_.data(), py_.data(), ay_.data(), n);
+        ff::mulBatch(lambda_.data(), lambda_.data(), denoms_.data(), n);
+        ff::sqrBatch(x3_.data(), lambda_.data(), n);
+        ff::subBatch(x3_.data(), x3_.data(), ax_.data(), n);
+        ff::subBatch(x3_.data(), x3_.data(), px_.data(), n);
+        ff::subBatch(ax_.data(), ax_.data(), x3_.data(), n);
+        ff::mulBatch(ax_.data(), lambda_.data(), ax_.data(), n);
+        ff::subBatch(ay_.data(), ax_.data(), ay_.data(), n);
         for (std::size_t i = 0; i < n; ++i)
             cur_[staged_[i].slot] = Affine(x3_[i], ay_[i]);
         staged_.clear();

@@ -131,22 +131,6 @@ replay(const Args &a)
         rep.iterations = 1;
         return report(rep);
     }
-    // --kind=fflazy replays one lazy-tier field-op program: the seeded
-    // program runs through the ff::*BatchLazy entry points under every
-    // compiled SIMD arm, canonicalizes, and must match its strict twin
-    // on the portable arm limb for limb.
-    if (a.kind == "fflazy") {
-        std::size_t n = std::max<std::size_t>(
-            a.replaySize > 0 ? std::size_t(a.replaySize) : 1, 1);
-        std::printf(
-            "replaying --seed=%llu --size=%zu --kind=fflazy "
-            "(arms: %s)\n",
-            (unsigned long long)a.seed, n,
-            gzkp::ff::simd::describeActiveIsa());
-        testkit::fuzzFfLazyInstance(a.seed, n, rep);
-        rep.iterations = 1;
-        return report(rep);
-    }
     // --kind=proofdet replays a cross-thread-count proof-determinism
     // instance; it has no scalar mix or size.
     if (a.kind == "proofdet") {
@@ -216,8 +200,7 @@ main(int argc, char **argv)
                 stderr,
                 "usage: fuzz_driver [--iterations=N] [--seed=S] "
                 "[--seconds=T] [--max-size=N] "
-                "[--only=msm|ntt|groth16|fault|workload|ffdispatch|"
-                "fflazy] "
+                "[--only=msm|ntt|groth16|fault|workload|ffdispatch] "
                 "[--verbose]\n       fuzz_driver --seed=S --size=N "
                 "--kind=K   (replay one instance; --kind=proofdet "
                 "replays a proof-determinism check; --kind=fault "
@@ -225,8 +208,7 @@ main(int argc, char **argv)
                 "the accumulator/GLV cross-product; --kind=workload "
                 "sweeps N realistic-workload instances; "
                 "--kind=ffdispatch replays a cross-ISA field-op "
-                "program; --kind=fflazy replays a lazy-vs-strict "
-                "field-op program)\n");
+                "program)\n");
             return 2;
         }
     }
@@ -259,7 +241,6 @@ main(int argc, char **argv)
         opt.fault = a.only == "fault";
         opt.workload = a.only == "workload";
         opt.ffdispatch = a.only == "ffdispatch";
-        opt.fflazy = a.only == "fflazy";
         opt.gpusim = opt.msm;
         if (opt.fault)
             opt.faultEvery = 1; // dedicated chaos sweep: every iter
