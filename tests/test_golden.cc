@@ -146,6 +146,8 @@ buildCircuit(const GoldenEntry &e)
     if (kind == "poseidon_merkle")
         return workload::makePoseidonMerkleCircuit<Fr>(
             param(e, 1), param(e, 2), param(e, 3), rng);
+    if (kind == "mimc_merkle")
+        return workload::makeMerkleCircuit<Fr>(param(e, 1), rng);
     if (kind == "poseidon_chain")
         return workload::makePoseidonChainCircuit<Fr>(param(e, 1), rng);
     if (kind == "synthetic")
@@ -231,6 +233,7 @@ TEST_P(GoldenProof, BytesMatchCorpusOnEveryEngine)
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenProof,
                          ::testing::Values("bn254_poseidon_merkle",
+                                           "bn254_mimc_merkle",
                                            "bn254_poseidon_chain",
                                            "bn254_synthetic",
                                            "bls12_381_synthetic"),
