@@ -1,12 +1,13 @@
 /**
  * @file
- * CPU MSM hot-path bench: measured wall-clock for every engine under
- * both bucket-accumulation strategies (Jacobian mixed adds vs the
- * batch-affine shared-inversion scheduler) and, on BN254 G1, with and
- * without GLV decomposition. One JSON line per (engine, accumulator,
- * glv, size, threads) with the median-of-N nanoseconds and the
- * speedup against that engine's Jacobian/no-GLV baseline at the same
- * (size, threads).
+ * CPU MSM hot-path bench: measured wall-clock for the serial and
+ * GZKP engines under both bucket-accumulation strategies (Jacobian
+ * mixed adds vs the batch-affine shared-inversion scheduler) and, on
+ * BN254 G1, with and without GLV decomposition, plus the Jacobian
+ * bellperson baseline. One JSON line per (engine, accumulator, glv,
+ * size, threads) with the median-of-N nanoseconds and the speedup
+ * against that engine's Jacobian/no-GLV baseline at the same (size,
+ * threads).
  *
  *     bench_msm_hotpath [--smoke|--full] [--reps=N]
  *                       [--out=BENCH_msm_hotpath.json]
@@ -100,30 +101,27 @@ benchSerial(std::size_t log_n, std::size_t threads, std::size_t reps)
     }
 }
 
+/**
+ * The bellperson-like baseline has one accumulator (Jacobian, as its
+ * modeled GPU kernel): one row per (size, threads) for reference.
+ */
 void
 benchBellperson(std::size_t log_n, std::size_t threads,
                 std::size_t reps)
 {
     std::size_t n = std::size_t(1) << log_n;
     auto in = bench::msmInstance<Cfg>(n, 142 + log_n);
-    double baseline = 0;
-    ec::ECPoint<Cfg> expect;
-    for (msm::Accumulator acc :
-         {msm::Accumulator::Jacobian, msm::Accumulator::BatchAffine}) {
-        msm::BellpersonMsm<Cfg> engine(10, 0, threads, acc);
-        auto got = engine.run(in.points, in.scalars);
-        double s = bench::medianSeconds(
-            [&] { engine.run(in.points, in.scalars); }, reps);
-        if (acc == msm::Accumulator::Jacobian) {
-            baseline = s;
-            expect = got;
-        } else if (got != expect) {
-            std::fprintf(stderr, "bellperson variant diverged\n");
-            std::exit(1);
-        }
-        emit("bellperson", acc, msm::GlvMode::Off, log_n, threads,
-             s * 1e9, baseline * 1e9);
+    msm::BellpersonMsm<Cfg> engine(10, 0, threads);
+    if (engine.run(in.points, in.scalars) !=
+        msm::PippengerSerial<Cfg>(0, threads).run(in.points,
+                                                  in.scalars)) {
+        std::fprintf(stderr, "bellperson diverged from serial\n");
+        std::exit(1);
     }
+    double s = bench::medianSeconds(
+        [&] { engine.run(in.points, in.scalars); }, reps);
+    emit("bellperson", msm::Accumulator::Jacobian, msm::GlvMode::Off,
+         log_n, threads, s * 1e9, s * 1e9);
 }
 
 void

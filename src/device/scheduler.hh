@@ -34,9 +34,11 @@
  * earliest-placed pending task is runnable, so the fleet cannot
  * deadlock. Stage failures (device.fail / device.mem, or a real
  * fault) are retried inline on a re-placed device with a fresh fault
- * epoch, bounded by maxStageAttempts; each device is a failure
- * domain with its own SlidingBreaker (health.hh), so a persistently
- * failing card is quarantined while the rest keep serving.
+ * epoch, bounded by maxStageAttempts (an MSM retry after a failed
+ * self-check recomputes POLY's h too, since either stage may have
+ * corrupted the proof); each device is a failure domain with its own
+ * SlidingBreaker (health.hh), so a persistently failing card is
+ * quarantined while the rest keep serving.
  */
 
 #ifndef GZKP_DEVICE_SCHEDULER_HH
@@ -45,7 +47,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -59,7 +60,6 @@
 #include "device/cost_model.hh"
 #include "device/device.hh"
 #include "device/health.hh"
-#include "ec/point.hh"
 #include "faultsim/faultsim.hh"
 #include "ntt/domain.hh"
 #include "runtime/runtime.hh"
@@ -102,8 +102,6 @@ class StageScheduler
     using ProvingKey = typename G16::ProvingKey;
     using VerifyingKey = typename G16::VerifyingKey;
     using MsmArtifacts = typename G16::MsmArtifacts;
-    using Verifier = std::function<bool(
-        const VerifyingKey &, const Proof &, const std::vector<Fr> &)>;
 
     struct Options {
         std::vector<DeviceSpec> devices;
@@ -111,7 +109,7 @@ class StageScheduler
         std::size_t maxQueueDepth = 8;
         /** Total placements of one stage (first try + retries). */
         std::size_t maxStageAttempts = 3;
-        /** Structural + verifier self-check of assembled proofs. */
+        /** zkp::selfCheckProof() on every assembled proof. */
         bool selfCheck = true;
         service::BreakerOptions healthOptions;
     };
@@ -152,7 +150,7 @@ class StageScheduler
     };
 
     explicit StageScheduler(Options opt,
-                            Verifier verifier = Verifier())
+                            zkp::Verifier<Family> verifier = {})
         : opt_(std::move(opt)), verifier_(std::move(verifier)),
           health_(opt_.devices.size(), opt_.healthOptions),
           dev_(opt_.devices.size())
@@ -303,6 +301,7 @@ class StageScheduler
         StageKind kind = StageKind::Poly;
         std::uint64_t execSeq = 0; //!< fault-probe index
         double estimate = 0;       //!< placed modeled seconds
+        bool redoPoly = false;     //!< MSM retry recomputes h first
     };
 
     struct PerDevice {
@@ -457,15 +456,7 @@ class StageScheduler
             if (js.job.cancel != nullptr)
                 js.job.cancel->throwIfStopped();
             if (task.kind == StageKind::Poly) {
-                std::vector<Fr> h;
-                if (js.job.domain != nullptr) {
-                    h = G16::polyStage(*js.job.pk, *js.job.cs,
-                                       js.job.witness, *js.job.domain);
-                } else {
-                    ntt::Domain<Fr> dom(js.job.pk->domainLog);
-                    h = G16::polyStage(*js.job.pk, *js.job.cs,
-                                       js.job.witness, dom);
-                }
+                std::vector<Fr> h = polyOutput(js.job);
                 // (r, s) come from the request rng, which feeds
                 // nothing else -- drawing them here matches the
                 // single-lane prove() stream draw for draw.
@@ -477,6 +468,8 @@ class StageScheduler
                 js.r = r;
                 js.s = s;
             } else {
+                if (task.redoPoly)
+                    js.h = polyOutput(js.job);
                 typename G16::MsmOutputs m;
                 if (js.job.artifacts != nullptr) {
                     m = G16::msmStageWithArtifacts(
@@ -488,7 +481,9 @@ class StageScheduler
                 }
                 Proof p = G16::assembleProof(*js.job.pk, m, js.r, js.s);
                 if (opt_.selfCheck) {
-                    Status chk = selfCheck(js, p);
+                    Status chk = zkp::selfCheckProof<Family>(
+                        *js.job.pk, js.job.vk, js.job.witness, p,
+                        verifier_);
                     if (!chk.isOk())
                         throw StatusError(chk);
                 }
@@ -498,23 +493,15 @@ class StageScheduler
         return st;
     }
 
-    Status
-    selfCheck(const JobState &js, const Proof &p) const
+    /** The POLY stage's h, over the job's cached domain if any. */
+    static std::vector<Fr>
+    polyOutput(const Job &job)
     {
-        if (!ec::inPrimeSubgroup(p.a) || !ec::inPrimeSubgroup(p.b) ||
-            !ec::inPrimeSubgroup(p.c))
-            return dataLossError(
-                "device.selfcheck: proof point off curve or outside "
-                "prime-order subgroup");
-        if (verifier_ && js.job.vk != nullptr) {
-            std::vector<Fr> pub(
-                js.job.witness.begin() + 1,
-                js.job.witness.begin() + 1 + js.job.pk->numPublic);
-            if (!verifier_(*js.job.vk, p, pub))
-                return dataLossError(
-                    "device.selfcheck: proof failed verification");
-        }
-        return Status();
+        if (job.domain != nullptr)
+            return G16::polyStage(*job.pk, *job.cs, job.witness,
+                                  *job.domain);
+        ntt::Domain<Fr> dom(job.pk->domainLog);
+        return G16::polyStage(*job.pk, *job.cs, job.witness, dom);
     }
 
     /**
@@ -544,6 +531,11 @@ class StageScheduler
             // persistent ones keep firing and push the stage off the
             // device as its breaker accumulates failures.
             faultsim::advanceEpoch();
+            // The MSM self-check cannot tell which stage corrupted
+            // the proof, so a data-loss retry recomputes h as well.
+            if (task.kind == StageKind::Msm &&
+                st.code() == StatusCode::kDataLoss)
+                task.redoPoly = true;
             std::lock_guard<std::mutex> lk(mu_);
             ++stageRetries_;
             ++task.js->result.stageRetries;
@@ -651,7 +643,7 @@ class StageScheduler
     }
 
     Options opt_;
-    Verifier verifier_;
+    zkp::Verifier<Family> verifier_;
     DeviceHealth health_;
 
     mutable std::mutex mu_;

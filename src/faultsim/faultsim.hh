@@ -43,8 +43,9 @@
  * run without faultsim (asserted by tests/test_chaos.cc).
  *
  * Probe-site vocabulary (substring-matchable): the prover sites
- * (msm.gzkp[.bucket|.preprocess|.kernel], msm.bellperson, msm.serial,
- * ntt.cpu, groth16.poly.h) plus the serving layer's --
+ * (msm.gzkp[.bucket|.preprocess|.kernel], msm.serial, ntt.cpu,
+ * groth16.poly.h; msm.bellperson fires only in benches and tests
+ * that run the baseline engine directly) plus the serving layer's --
  *  - service.queue:       admission enqueue/dispatch failures;
  *  - service.cache.build: artifact build allocation failures;
  *  - service.cache.table: post-build corruption of a cached table;

@@ -40,14 +40,13 @@ class BellpersonMsm
      * @param k window bits (bellperson default region)
      * @param sub_msms horizontal split; 0 = pick for GPU occupancy
      * @param threads CPU runtime threads; 0 = GZKP_THREADS default
-     * @param accumulator bucket strategy for the functional CPU
-     *        execution (the modeled GPU kernel stays Jacobian)
+     *
+     * Buckets accumulate in Jacobian coordinates, as the modeled GPU
+     * kernel does.
      */
     explicit BellpersonMsm(std::size_t k = 10, std::size_t sub_msms = 0,
-                           std::size_t threads = 0,
-                           Accumulator accumulator = Accumulator::Auto)
-        : k_(k), subMsms_(sub_msms), threads_(threads),
-          accumulator_(accumulator)
+                           std::size_t threads = 0)
+        : k_(k), subMsms_(sub_msms), threads_(threads)
     {}
 
     std::size_t
@@ -79,7 +78,6 @@ class BellpersonMsm
         std::size_t s = effectiveSubMsms(n, dev);
         std::size_t chunk = (n + s - 1) / s;
         std::size_t threads = runtime::resolveThreads(threads_);
-        bool ba = useBatchAffine(accumulator_);
         auto repr = scalarsToRepr(scalars, threads);
 
         // windowSums[t] accumulates W_t across sub-MSMs. Each window
@@ -90,7 +88,8 @@ class BellpersonMsm
         runtime::parallelForChunks(
             threads, windows,
             [&](std::size_t wlo, std::size_t whi, std::size_t) {
-                BucketSet<Cfg> buckets(std::size_t(1) << k_, ba);
+                BucketSet<Cfg> buckets(std::size_t(1) << k_,
+                                       /*batch_affine=*/false);
                 bool fresh = true;
                 for (std::size_t t = wlo; t < whi; ++t) {
                     faultsim::checkLaunch("msm.bellperson.window", t);
@@ -243,7 +242,6 @@ class BellpersonMsm
     std::size_t k_;
     std::size_t subMsms_;
     std::size_t threads_;
-    Accumulator accumulator_;
 };
 
 } // namespace gzkp::msm

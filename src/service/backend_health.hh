@@ -3,17 +3,18 @@
  * Service-wide backend health registry with circuit breakers.
  *
  * ZK-Flex (PAPERS.md) motivates treating proving backends as
- * independently failing accelerators behind a scheduler. PR 3's
- * SelfCheckingProver already demotes down the GZKP -> bellperson ->
- * serial ladder, but the decision was per request: a backend browned
- * out for minutes still ate maxAttemptsPerBackend failed attempts on
+ * independently failing accelerators behind a scheduler.
+ * SelfCheckingProver demotes down the GZKP -> serial ladder, but on
+ * its own the decision is per request: a backend browned out for
+ * minutes would still eat maxAttemptsPerBackend failed attempts on
  * *every* request. BackendHealth turns demotion into a learned,
  * service-wide decision:
  *
  *  - per-backend sliding window of the most recent attempt outcomes
  *    and latencies (failures are statuses that blame the backend --
  *    kUnavailable, kResourceExhausted, kDataLoss, kInternal;
- *    cooperative stops and caller bugs are neutral);
+ *    cooperative stops and caller bugs are neutral, see
+ *    neutralStatus() in breaker.hh);
  *  - a circuit breaker per backend (the SlidingBreaker state machine,
  *    breaker.hh): Closed -> Open on windowed failure rate -> HalfOpen
  *    probe after a deterministic denial-counted cooldown -> Closed on
@@ -32,12 +33,9 @@
 #ifndef GZKP_SERVICE_BACKEND_HEALTH_HH
 #define GZKP_SERVICE_BACKEND_HEALTH_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <mutex>
-#include <tuple>
-#include <vector>
 
 #include "faultsim/faultsim.hh"
 #include "service/breaker.hh"
@@ -49,7 +47,7 @@ namespace gzkp::service {
 class BackendHealth final : public zkp::BackendMonitor
 {
   public:
-    /** One breaker configuration shared by all three backends. */
+    /** One breaker configuration shared by both backends. */
     using Options = BreakerOptions;
 
     struct BackendSnapshot {
@@ -111,7 +109,7 @@ class BackendHealth final : public zkp::BackendMonitor
         std::lock_guard<std::mutex> lk(mu_);
         SlidingBreaker &b = b_[std::size_t(backend)];
         b.countAttempt();
-        if (neutral(status.code()))
+        if (neutralStatus(status.code()))
             return; // don't blame the backend for the caller's stop
         b.record(status.isOk(), seconds);
     }
@@ -121,47 +119,6 @@ class BackendHealth final : public zkp::BackendMonitor
     {
         std::lock_guard<std::mutex> lk(mu_);
         return b_[std::size_t(backend)].state();
-    }
-
-    /** Count of backends allow() would currently admit. */
-    std::size_t
-    allowedCount() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        std::size_t n = 0;
-        for (const SlidingBreaker &b : b_)
-            if (b.wouldAllow())
-                ++n;
-        return n;
-    }
-
-    /**
-     * Backends ordered healthiest-first: Closed before HalfOpen
-     * before Open, ties broken by windowed failure rate, then p99
-     * latency, then the ladder order. The hedge path launches its
-     * secondary on the first entry that differs from the primary.
-     */
-    std::vector<zkp::ProverBackend>
-    healthyOrder() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        std::vector<std::size_t> idx = {0, 1, 2};
-        auto rank = [this](std::size_t i) {
-            const SlidingBreaker &b = b_[i];
-            int staterank = b.state() == BreakerState::Closed ? 0
-                : b.state() == BreakerState::HalfOpen         ? 1
-                                                              : 2;
-            return std::make_tuple(staterank, b.failureRate(),
-                                   b.latencyQuantile(0.99), i);
-        };
-        std::sort(idx.begin(), idx.end(),
-                  [&](std::size_t a, std::size_t c) {
-                      return rank(a) < rank(c);
-                  });
-        std::vector<zkp::ProverBackend> out;
-        for (std::size_t i : idx)
-            out.push_back(zkp::ProverBackend(i));
-        return out;
     }
 
     Snapshot
@@ -186,21 +143,6 @@ class BackendHealth final : public zkp::BackendMonitor
     }
 
   private:
-    /** Statuses that don't indict the backend. */
-    static bool
-    neutral(StatusCode code)
-    {
-        switch (code) {
-        case StatusCode::kCancelled:
-        case StatusCode::kDeadlineExceeded:
-        case StatusCode::kInvalidArgument:
-        case StatusCode::kFailedPrecondition:
-            return true;
-        default:
-            return false;
-        }
-    }
-
     mutable std::mutex mu_;
     std::array<SlidingBreaker, zkp::kProverBackendCount> b_{};
     std::uint64_t allowSeq_ = 0;

@@ -30,6 +30,8 @@
 #include <deque>
 #include <vector>
 
+#include "status/status.hh"
+
 namespace gzkp::service {
 
 enum class BreakerState { Closed = 0, Open = 1, HalfOpen = 2 };
@@ -43,6 +45,25 @@ name(BreakerState s)
     case BreakerState::HalfOpen: return "half-open";
     }
     return "?";
+}
+
+/**
+ * Statuses that never indict the executor that returned them:
+ * cooperative stops and caller bugs. Registries drop these before
+ * SlidingBreaker::record().
+ */
+inline bool
+neutralStatus(StatusCode code)
+{
+    switch (code) {
+    case StatusCode::kCancelled:
+    case StatusCode::kDeadlineExceeded:
+    case StatusCode::kInvalidArgument:
+    case StatusCode::kFailedPrecondition:
+        return true;
+    default:
+        return false;
+    }
 }
 
 /** Tunables of one breaker (shared by a whole registry). */
@@ -142,14 +163,6 @@ class SlidingBreaker
     }
 
     BreakerState state() const { return state_; }
-
-    /** Would allow() admit right now (without consuming a denial)? */
-    bool
-    wouldAllow() const
-    {
-        return state_ != BreakerState::Open ||
-            denials_ + 1 >= cooldownTarget_;
-    }
 
     std::uint64_t attempts() const { return attempts_; }
     std::uint64_t failures() const { return failures_; }

@@ -28,7 +28,7 @@
  *    on every request;
  *  - hedged retry: when the remaining deadline budget falls below a
  *    p99-derived threshold (or Options::forceHedge), the proof is
- *    launched on the next healthy backend concurrently and the first
+ *    launched on the serial backend concurrently and the first
  *    valid result wins; the loser is cancelled through a child
  *    CancelToken. Proof bytes depend only on (circuit, witness, seed)
  *    -- never on the backend -- so a hedged winner is byte-identical
@@ -119,7 +119,6 @@ class ProofService
     using ProvingKey = typename G16::ProvingKey;
     using VerifyingKey = typename G16::VerifyingKey;
     using Prover = zkp::SelfCheckingProver<Family>;
-    using Verifier = typename Prover::Verifier;
     using Cache = ArtifactCache<Family>;
     using Scheduler = device::StageScheduler<Family>;
     using CircuitId = std::size_t;
@@ -152,7 +151,7 @@ class ProofService
         BackendHealth *health = nullptr;
         BackendHealth::Options healthOptions;
 
-        /** Hedged retry on the next healthy backend. */
+        /** Hedged retry on the serial backend. */
         bool hedging = true;
         /** Hedge when remaining budget < hedgeFactor * p99(circuit). */
         double hedgeFactor = 1.5;
@@ -252,7 +251,7 @@ class ProofService
     };
 
     explicit ProofService(Options opt = Options(),
-                          Verifier verifier = Verifier())
+                          zkp::Verifier<Family> verifier = {})
         : opt_(opt), verifier_(std::move(verifier)), cache_(opt.cacheBytes)
     {
         if (opt_.healthTracking && opt_.health == nullptr) {
@@ -704,7 +703,6 @@ class ProofService
             ++t.failed;
             ++t.shed;
             stats_.queueSecondsTotal += res.queueSeconds;
-            inFlightCost_ = std::max(0.0, inFlightCost_);
         }
         p.promise.set_value(std::move(res));
     }
@@ -753,7 +751,7 @@ class ProofService
                     remaining < opt_.hedgeFactor * p99;
             }
             if (hedge) {
-                secondary = pickSecondary(popt.start);
+                secondary = pickSecondary();
                 if (!secondary)
                     hedge = false;
             }
@@ -927,27 +925,16 @@ class ProofService
     }
 
     /**
-     * The next healthy backend distinct from the primary ladder
-     * start; nullopt when no distinct backend is admissible.
+     * The hedge's backend: serial, the one tier distinct from the
+     * primary ladder's GZKP start; nullopt when its breaker denies it.
      */
     std::optional<zkp::ProverBackend>
-    pickSecondary(zkp::ProverBackend primary)
+    pickSecondary()
     {
         BackendHealth *h = monitor();
-        std::vector<zkp::ProverBackend> order;
-        if (h != nullptr) {
-            order = h->healthyOrder();
-        } else {
-            for (std::size_t b = 0; b < zkp::kProverBackendCount; ++b)
-                order.push_back(zkp::ProverBackend(b));
-        }
-        for (zkp::ProverBackend b : order) {
-            if (b == primary)
-                continue;
-            if (h == nullptr || h->allow(b))
-                return b;
-        }
-        return std::nullopt;
+        if (h != nullptr && !h->allow(zkp::ProverBackend::Serial))
+            return std::nullopt;
+        return zkp::ProverBackend::Serial;
     }
 
     /**
@@ -1033,7 +1020,7 @@ class ProofService
     }
 
     Options opt_;
-    Verifier verifier_;
+    zkp::Verifier<Family> verifier_;
     Cache cache_;
     runtime::CancelToken shutdown_;
     std::unique_ptr<BackendHealth> ownedHealth_;
@@ -1055,18 +1042,6 @@ class ProofService
     std::unique_ptr<Scheduler> scheduler_;
 };
 
-/** The BN254 verifier callback for the service's self-check. */
-inline typename zkp::SelfCheckingProver<zkp::Bn254Family>::Verifier
-bn254ServiceVerifier()
-{
-    using P = zkp::SelfCheckingProver<zkp::Bn254Family>;
-    return [](const typename P::VerifyingKey &vk,
-              const typename P::Proof &proof,
-              const std::vector<typename P::Fr> &pub) {
-        return zkp::verifyBn254(vk, proof, pub);
-    };
-}
-
 /**
  * The production configuration: a BN254 service whose self-check is
  * the real pairing verifier. (unique_ptr because the service owns a
@@ -1077,7 +1052,7 @@ makeBn254ProofService(
     typename ProofService<zkp::Bn254Family>::Options opt = {})
 {
     return std::make_unique<ProofService<zkp::Bn254Family>>(
-        opt, bn254ServiceVerifier());
+        opt, zkp::verifyBn254);
 }
 
 } // namespace gzkp::service

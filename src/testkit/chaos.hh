@@ -65,7 +65,11 @@ chaosFixture()
  * Probe sites that exist in the pipeline, used to bias generated
  * arms toward plans that actually fire. "*" and a never-matching
  * site are included deliberately: the sweep must also cover
- * everything-fails and nothing-fires plans.
+ * everything-fails and nothing-fires plans. "msm.bellperson" never
+ * fires here (the prover ladder is GZKP -> serial; only benches and
+ * differential tests run the bellperson baseline), so it is a second
+ * nothing-fires site; it stays so the seeded sweep keeps drawing the
+ * same plans.
  */
 inline const std::vector<std::string> &
 chaosSites()

@@ -253,15 +253,10 @@ batchAffineDifferential(std::size_t threads = 0)
                   return GzkpMsm<MsmCfg>(o).run(in.points, in.scalars);
               });
     }
-    for (Accumulator acc :
-         {Accumulator::Jacobian, Accumulator::BatchAffine}) {
-        d.add(acc == Accumulator::Jacobian ? "bellperson-jac"
-                                           : "bellperson-ba",
-              [threads, acc](const MsmIn &in) {
-                  return BellpersonMsm<MsmCfg>(9, 3, threads, acc)
-                      .run(in.points, in.scalars);
-              });
-    }
+    d.add("bellperson-jac", [threads](const MsmIn &in) {
+        return BellpersonMsm<MsmCfg>(9, 3, threads)
+            .run(in.points, in.scalars);
+    });
     return d;
 }
 
@@ -949,7 +944,7 @@ fuzzAll(const FuzzOptions &opt,
         // Four proofs per instance, so sample sparsely.
         if (opt.groth16 && i % (opt.groth16Every * 2) == 23)
             fuzzProofDeterminism(deriveSeed(opt.seed, i, 7), rep);
-        // Chaos runs may retry across three backends: sample sparsely.
+        // Chaos runs may retry across both backends: sample sparsely.
         if (opt.fault && i % opt.faultEvery == 11)
             fuzzFaultInstance(deriveSeed(opt.seed, i, 8), rep);
         // A full setup+prove per hit: the sparsest slot of all.

@@ -62,7 +62,11 @@ struct GzkpMsmPolicy {
     }
 };
 
-/** MSM engine policy: the bellperson-like baseline (fallback tier). */
+/**
+ * MSM engine policy: the bellperson-like baseline the paper compares
+ * against (benches, the golden corpus and differential tests; not a
+ * production prover tier).
+ */
 struct BellpersonMsmPolicy {
     template <typename Cfg>
     static ec::ECPoint<Cfg>
@@ -80,10 +84,12 @@ class Groth16
 {
   public:
     using Fr = typename Family::Fr;
-    using G1 = ec::ECPoint<typename Family::G1Cfg>;
-    using G2 = ec::ECPoint<typename Family::G2Cfg>;
-    using G1Affine = ec::AffinePoint<typename Family::G1Cfg>;
-    using G2Affine = ec::AffinePoint<typename Family::G2Cfg>;
+    using G1Cfg = typename Family::G1Cfg;
+    using G2Cfg = typename Family::G2Cfg;
+    using G1 = ec::ECPoint<G1Cfg>;
+    using G2 = ec::ECPoint<G2Cfg>;
+    using G1Affine = ec::AffinePoint<G1Cfg>;
+    using G2Affine = ec::AffinePoint<G2Cfg>;
 
     struct ProvingKey {
         std::size_t numVars = 0;
@@ -343,10 +349,10 @@ class Groth16
      * point tables for all five proving-key queries. A proving key
      * never changes per application (Section 4.1), so these are the
      * dominant one-time cost the serving layer amortizes across
-     * proofs -- build once (preprocessMsm() here, or
-     * buildMsmArtifacts() in prover_pipeline.hh for the
-     * checkpoint/resume variant), then hand the same tables to every
-     * proveWithArtifacts() call for that circuit.
+     * proofs -- build once (buildMsmArtifacts() in
+     * prover_pipeline.hh, with checkpoint/resume), then hand the same
+     * tables to every proveCheckedWithArtifacts() call for that
+     * circuit.
      */
     struct MsmArtifacts {
         using G1Pre =
@@ -379,69 +385,6 @@ class Groth16
         }
     };
 
-    /** One-time Algorithm-1 preprocessing of all five MSM queries. */
-    static MsmArtifacts
-    preprocessMsm(const ProvingKey &pk, std::size_t threads = 0)
-    {
-        typename msm::GzkpMsm<typename Family::G1Cfg>::Options o1;
-        o1.threads = threads;
-        typename msm::GzkpMsm<typename Family::G2Cfg>::Options o2;
-        o2.threads = threads;
-        msm::GzkpMsm<typename Family::G1Cfg> e1(o1);
-        msm::GzkpMsm<typename Family::G2Cfg> e2(o2);
-        MsmArtifacts art;
-        art.a = e1.preprocess(pk.aQuery);
-        art.b2 = e2.preprocess(pk.b2Query);
-        art.b1 = e1.preprocess(pk.b1Query);
-        art.l = e1.preprocess(pk.lQuery);
-        art.h = e1.preprocess(pk.hQuery);
-        return art;
-    }
-
-    /**
-     * prove() over cached MSM artifacts and a cached NTT domain: the
-     * GZKP engine's run() phase only, with Algorithm-1 preprocessing
-     * and twiddle construction skipped entirely. Preprocessing is a
-     * pure deterministic function of the key, so for the same rng
-     * stream the returned proof is byte-identical to
-     * prove<GzkpMsmPolicy>() rebuilding the tables from scratch --
-     * the property the warm-cache serving tests pin down.
-     */
-    template <typename NttEngine = CpuNttEngine<Fr>, typename Rng>
-    static Proof
-    proveWithArtifacts(const ProvingKey &pk, const R1cs<Fr> &cs,
-                       const std::vector<Fr> &z, Rng &rng,
-                       const MsmArtifacts &art,
-                       const ntt::Domain<Fr> &dom,
-                       ProofAux *aux = nullptr,
-                       const NttEngine &ntt_engine = NttEngine(),
-                       std::size_t threads = 0)
-    {
-        if (z.size() != pk.numVars)
-            throw std::invalid_argument("Groth16::prove: bad witness");
-        if (dom.logSize() != pk.domainLog)
-            throw std::invalid_argument(
-                "Groth16::proveWithArtifacts: domain mismatch");
-        if (!art.matches(pk))
-            throw std::invalid_argument(
-                "Groth16::proveWithArtifacts: artifacts do not match "
-                "proving key");
-
-        // --- POLY stage: identical to prove(). ---
-        auto h = polyStage(pk, cs, z, dom, ntt_engine);
-
-        Fr r = Fr::random(rng);
-        Fr s = Fr::random(rng);
-        if (aux) {
-            aux->r = r;
-            aux->s = s;
-        }
-
-        // --- MSM stage over the preprocessed tables. ---
-        MsmOutputs m = msmStageWithArtifacts(pk, art, z, h, threads);
-        return assembleProof(pk, m, r, s);
-    }
-
     /**
      * msmStage() over cached Algorithm-1 tables: the GZKP engine's
      * run() phase only. Preprocessing is a pure deterministic
@@ -461,53 +404,22 @@ class Groth16
             threads,
             {
                 [&](std::size_t t) {
-                    m.a = runPreprocessedG1(art.a, z, t);
+                    m.a = runPreprocessed<G1Cfg>(art.a, z, t);
                 },
                 [&](std::size_t t) {
-                    m.b2 = runPreprocessedG2(art.b2, z, t);
+                    m.b2 = runPreprocessed<G2Cfg>(art.b2, z, t);
                 },
                 [&](std::size_t t) {
-                    m.b1 = runPreprocessedG1(art.b1, z, t);
+                    m.b1 = runPreprocessed<G1Cfg>(art.b1, z, t);
                 },
                 [&](std::size_t t) {
-                    m.l = runPreprocessedG1(art.l, aux_scalars, t);
+                    m.l = runPreprocessed<G1Cfg>(art.l, aux_scalars, t);
                 },
                 [&](std::size_t t) {
-                    m.h = runPreprocessedG1(art.h, h, t);
+                    m.h = runPreprocessed<G1Cfg>(art.h, h, t);
                 },
             });
         return m;
-    }
-
-    /** Status-returning proveWithArtifacts(); see proveChecked(). */
-    template <typename NttEngine = CpuNttEngine<Fr>, typename Rng>
-    static StatusOr<Proof>
-    proveCheckedWithArtifacts(const ProvingKey &pk, const R1cs<Fr> &cs,
-                              const std::vector<Fr> &z, Rng &rng,
-                              const MsmArtifacts &art,
-                              const ntt::Domain<Fr> &dom,
-                              ProofAux *aux = nullptr,
-                              const NttEngine &ntt_engine = NttEngine(),
-                              std::size_t threads = 0)
-    {
-        if (pk.numVars == 0 || pk.aQuery.size() != pk.numVars)
-            return failedPreconditionError(
-                "groth16.prove: malformed proving key");
-        if (!art.matches(pk) || dom.logSize() != pk.domainLog)
-            return failedPreconditionError(
-                "groth16.prove: artifacts do not match proving key");
-        if (z.size() != pk.numVars)
-            return invalidArgumentError(
-                "groth16.prove: witness size " +
-                std::to_string(z.size()) + " != numVars " +
-                std::to_string(pk.numVars));
-        if (!z.empty() && z[0] != Fr::one())
-            return invalidArgumentError(
-                "groth16.prove: witness z[0] must be 1");
-        return statusGuard("groth16.prove", [&] {
-            return proveWithArtifacts<NttEngine>(
-                pk, cs, z, rng, art, dom, aux, ntt_engine, threads);
-        });
     }
 
     /**
@@ -527,21 +439,58 @@ class Groth16
                  const NttEngine &ntt_engine = NttEngine(),
                  std::size_t threads = 0)
     {
-        if (pk.numVars == 0 || pk.aQuery.size() != pk.numVars)
-            return failedPreconditionError(
-                "groth16.prove: malformed proving key");
-        if (z.size() != pk.numVars)
-            return invalidArgumentError(
-                "groth16.prove: witness size " +
-                std::to_string(z.size()) + " != numVars " +
-                std::to_string(pk.numVars));
-        if (!z.empty() && z[0] != Fr::one())
-            return invalidArgumentError(
-                "groth16.prove: witness z[0] must be 1");
+        GZKP_RETURN_IF_ERROR(checkProveArgs(pk, z));
         return statusGuard("groth16.prove", [&] {
             return prove<MsmPolicy, NttEngine>(pk, cs, z, rng, aux,
                                                ntt_engine, threads);
         });
+    }
+
+    /**
+     * proveChecked() over cached MSM artifacts and a cached NTT
+     * domain: the GZKP engine's run() phase only, with Algorithm-1
+     * preprocessing and twiddle construction skipped entirely.
+     * Preprocessing is a pure deterministic function of the key, so
+     * for the same rng stream the returned proof is byte-identical
+     * to prove<GzkpMsmPolicy>() rebuilding the tables from scratch --
+     * the property the warm-cache serving tests pin down. Build the
+     * artifacts with buildMsmArtifacts() (prover_pipeline.hh).
+     */
+    template <typename NttEngine = CpuNttEngine<Fr>, typename Rng>
+    static StatusOr<Proof>
+    proveCheckedWithArtifacts(const ProvingKey &pk, const R1cs<Fr> &cs,
+                              const std::vector<Fr> &z, Rng &rng,
+                              const MsmArtifacts &art,
+                              const ntt::Domain<Fr> &dom,
+                              ProofAux *aux = nullptr,
+                              const NttEngine &ntt_engine = NttEngine(),
+                              std::size_t threads = 0)
+    {
+        GZKP_RETURN_IF_ERROR(checkProveArgs(pk, z));
+        if (!art.matches(pk) || dom.logSize() != pk.domainLog)
+            return failedPreconditionError(
+                "groth16.prove: artifacts do not match proving key");
+        return statusGuard("groth16.prove", [&] {
+            // POLY stage identical to prove(), then the MSM stage
+            // over the preprocessed tables.
+            auto h = polyStage(pk, cs, z, dom, ntt_engine);
+            Fr r = Fr::random(rng);
+            Fr s = Fr::random(rng);
+            if (aux) {
+                aux->r = r;
+                aux->s = s;
+            }
+            MsmOutputs m = msmStageWithArtifacts(pk, art, z, h, threads);
+            return assembleProof(pk, m, r, s);
+        });
+    }
+
+    /** All three proof points on the curve and in the r-subgroup. */
+    static bool
+    inSubgroup(const Proof &p)
+    {
+        return ec::inPrimeSubgroup(p.a) && ec::inPrimeSubgroup(p.b) &&
+            ec::inPrimeSubgroup(p.c);
     }
 
     /**
@@ -590,27 +539,37 @@ class Groth16
     }
 
   private:
+    /** Argument checks shared by the Status-returning provers. */
+    static Status
+    checkProveArgs(const ProvingKey &pk, const std::vector<Fr> &z)
+    {
+        if (pk.numVars == 0 || pk.aQuery.size() != pk.numVars)
+            return failedPreconditionError(
+                "groth16.prove: malformed proving key");
+        if (z.size() != pk.numVars)
+            return invalidArgumentError(
+                "groth16.prove: witness size " +
+                std::to_string(z.size()) + " != numVars " +
+                std::to_string(pk.numVars));
+        if (!z.empty() && z[0] != Fr::one())
+            return invalidArgumentError(
+                "groth16.prove: witness z[0] must be 1");
+        return Status::ok();
+    }
+
     /**
      * run() over a cached table with the exact engine configuration
      * GzkpMsmPolicy would build (Options defaults + thread share), so
      * warm and cold paths compute bit-identical points.
      */
-    static G1
-    runPreprocessedG1(const typename MsmArtifacts::G1Pre &pp,
-                      const std::vector<Fr> &scalars, std::size_t t)
+    template <typename Cfg>
+    static ec::ECPoint<Cfg>
+    runPreprocessed(const typename msm::GzkpMsm<Cfg>::Preprocessed &pp,
+                    const std::vector<Fr> &scalars, std::size_t t)
     {
-        typename msm::GzkpMsm<typename Family::G1Cfg>::Options o;
+        typename msm::GzkpMsm<Cfg>::Options o;
         o.threads = t;
-        return msm::GzkpMsm<typename Family::G1Cfg>(o).run(pp, scalars);
-    }
-
-    static G2
-    runPreprocessedG2(const typename MsmArtifacts::G2Pre &pp,
-                      const std::vector<Fr> &scalars, std::size_t t)
-    {
-        typename msm::GzkpMsm<typename Family::G2Cfg>::Options o;
-        o.threads = t;
-        return msm::GzkpMsm<typename Family::G2Cfg>(o).run(pp, scalars);
+        return msm::GzkpMsm<Cfg>(o).run(pp, scalars);
     }
 
     template <typename Rng>

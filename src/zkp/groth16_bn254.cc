@@ -19,8 +19,7 @@ verifyBn254(const Groth16<Bn254Family>::VerifyingKey &vk,
     // and an on-curve G2 point outside the order-r subgroup admits
     // small-subgroup confinement of e(A, B). G1 has cofactor 1, so
     // its subgroup check reduces to on-curve plus r*P == 0 hygiene.
-    if (!ec::inPrimeSubgroup(proof.a) || !ec::inPrimeSubgroup(proof.b) ||
-        !ec::inPrimeSubgroup(proof.c))
+    if (!Groth16<Bn254Family>::inSubgroup(proof))
         return false;
 
     // IC(x) = ic_0 + sum x_i * ic_i.

@@ -8,7 +8,8 @@
  *
  *  1. every attempt runs under the caller's CancelToken (cooperative
  *     cancellation + deadline, polled between parallel chunks);
- *  2. the returned proof is *self-checked* before it is released --
+ *  2. the returned proof is *self-checked* (selfCheckProof(), shared
+ *     with the multi-device scheduler) before it is released --
  *     first structurally (all three points on curve and in the
  *     prime-order subgroup: a bit-flip in a Jacobian coordinate
  *     almost never lands back on the curve), then cryptographically
@@ -21,12 +22,14 @@
  *     runs between attempts so *transient* injected faults (limited
  *     arms, or arms whose hash misses in the next epoch) clear while
  *     *persistent* ones keep firing;
- *  4. when a backend exhausts its attempts the pipeline demotes down
- *     the chain GZKP MSM -> bellperson MSM -> serial Pippenger and
- *     starts over. Caller bugs (kInvalidArgument,
- *     kFailedPrecondition) and cooperative stops (kCancelled,
- *     kDeadlineExceeded) are never retried and never demoted: they
- *     return immediately.
+ *  4. when the GZKP backend exhausts its attempts the pipeline
+ *     demotes to serial Pippenger and starts over. (The
+ *     bellperson-like engine is the paper's GPU baseline, kept for
+ *     benches and differential tests; it is slower than serial end
+ *     to end, so it is not a fallback tier.) Caller bugs
+ *     (kInvalidArgument, kFailedPrecondition) and cooperative stops
+ *     (kCancelled, kDeadlineExceeded) are never retried and never
+ *     demoted: they return immediately.
  *
  * The terminal contract -- asserted by the chaos suite over hundreds
  * of seeded fault plans -- is that prove() always ends in exactly one
@@ -61,16 +64,15 @@
 namespace gzkp::zkp {
 
 /** The graceful-degradation chain, fastest tier first. */
-enum class ProverBackend { Gzkp = 0, Bellperson = 1, Serial = 2 };
+enum class ProverBackend { Gzkp = 0, Serial = 1 };
 
-inline constexpr std::size_t kProverBackendCount = 3;
+inline constexpr std::size_t kProverBackendCount = 2;
 
 inline const char *
 name(ProverBackend b)
 {
     switch (b) {
     case ProverBackend::Gzkp: return "gzkp";
-    case ProverBackend::Bellperson: return "bellperson";
     case ProverBackend::Serial: return "serial";
     }
     return "?";
@@ -96,13 +98,13 @@ retryableStatus(StatusCode code)
 }
 
 /**
- * Cross-request backend health feedback. The PR-3 pipeline demoted
- * per request: every prove climbed the full GZKP -> bellperson ->
- * serial ladder from the top, re-paying the failed attempts on a
- * backend that has been brown for the last hundred requests. A
- * monitor lifts that decision to service scope: before trying a
- * backend the pipeline asks allow(), and after every attempt it
- * reports the outcome and latency through record(). The serving
+ * Cross-request backend health feedback. A pipeline that demotes
+ * per request climbs the full GZKP -> serial ladder from the top on
+ * every prove, re-paying the failed attempts on a backend that has
+ * been brown for the last hundred requests. A monitor lifts that
+ * decision to service scope: before trying a backend the pipeline
+ * asks allow(), and after every attempt it reports the outcome and
+ * latency through record(). The serving
  * layer's BackendHealth registry (src/service/backend_health.hh)
  * implements this with sliding-window stats and a circuit breaker.
  *
@@ -128,13 +130,64 @@ class BackendMonitor
 };
 
 /**
+ * A cryptographic proof check: (vk, proof, public inputs x without
+ * the leading 1) -> accept. For BN254 that is verifyBn254().
+ */
+template <typename Family>
+using Verifier = std::function<bool(
+    const typename Groth16<Family>::VerifyingKey &,
+    const typename Groth16<Family>::Proof &,
+    const std::vector<typename Family::Fr> &)>;
+
+/** The public inputs x (without the leading 1) sliced from z. */
+template <typename Family>
+std::vector<typename Family::Fr>
+publicInputs(const typename Groth16<Family>::ProvingKey &pk,
+             const std::vector<typename Family::Fr> &z)
+{
+    if (z.size() < pk.numPublic + 1)
+        return {};
+    return std::vector<typename Family::Fr>(z.begin() + 1,
+                                            z.begin() + 1 + pk.numPublic);
+}
+
+/**
+ * The proof self-check every proving path runs before it releases a
+ * proof. Structural first: it is cheap next to a pairing and catches
+ * coordinate-level corruption (a flipped bit in a Jacobian coordinate
+ * maps to an affine point off the curve). Then `verify` on
+ * publicInputs(pk, z), when both `verify` and `vk` are given: POLY-
+ * and NTT-stage corruption yields valid group elements encoding a
+ * wrong proof, which only the verifier catches. Either failure is
+ * kDataLoss.
+ */
+template <typename Family>
+Status
+selfCheckProof(const typename Groth16<Family>::ProvingKey &pk,
+               const typename Groth16<Family>::VerifyingKey *vk,
+               const std::vector<typename Family::Fr> &z,
+               const typename Groth16<Family>::Proof &p,
+               const Verifier<Family> &verify)
+{
+    if (!Groth16<Family>::inSubgroup(p))
+        return dataLossError(
+            "groth16.selfcheck: proof point off curve or outside "
+            "prime-order subgroup");
+    if (verify && vk != nullptr &&
+        !verify(*vk, p, publicInputs<Family>(pk, z)))
+        return dataLossError(
+            "groth16.selfcheck: proof failed verification");
+    return Status::ok();
+}
+
+/**
  * Self-checking Groth16 prover with backend fallback.
  *
- * The verifier callback is the cryptographic self-check: for BN254
- * use makeBn254SelfCheckingProver() (pairing verification); for other
- * families leave it empty and the self-check is structural only
- * (on-curve + prime-subgroup), which already catches every
- * coordinate-level corruption.
+ * The verifier callback is the cryptographic half of
+ * selfCheckProof(): for BN254 use makeBn254SelfCheckingProver()
+ * (pairing verification); for other families leave it empty and the
+ * self-check is structural only (on-curve + prime-subgroup), which
+ * already catches every coordinate-level corruption.
  */
 template <typename Family>
 class SelfCheckingProver
@@ -145,8 +198,6 @@ class SelfCheckingProver
     using Proof = typename G::Proof;
     using ProvingKey = typename G::ProvingKey;
     using VerifyingKey = typename G::VerifyingKey;
-    using Verifier = std::function<bool(
-        const VerifyingKey &, const Proof &, const std::vector<Fr> &)>;
 
     struct Options {
         std::size_t maxAttemptsPerBackend = 2;
@@ -161,10 +212,10 @@ class SelfCheckingProver
          * Cached per-circuit artifacts (serving layer). When both are
          * set, the GZKP backend proves over the cached tables/domain
          * instead of re-preprocessing -- byte-identical proofs, see
-         * Groth16::proveWithArtifacts(). The fallback tiers ignore
-         * them, so demotion still works when the cached tables are
-         * themselves corrupted (they are then effectively a
-         * persistent GZKP-tier fault). Both must outlive prove().
+         * Groth16::proveCheckedWithArtifacts(). The serial tier
+         * ignores them, so demotion still works when the cached
+         * tables are themselves corrupted (they are then effectively
+         * a persistent GZKP-tier fault). Both must outlive prove().
          */
         const typename G::MsmArtifacts *artifacts = nullptr;
         const ntt::Domain<Fr> *domain = nullptr;
@@ -192,7 +243,7 @@ class SelfCheckingProver
     };
 
     explicit SelfCheckingProver(Options opt = Options(),
-                                Verifier verifier = Verifier())
+                                Verifier<Family> verifier = {})
         : opt_(opt), verifier_(std::move(verifier))
     {}
 
@@ -254,9 +305,9 @@ class SelfCheckingProver
                 }
                 auto t0 = AttemptClock::now();
                 StatusOr<Proof> r = proveWith(backend, pk, cs, z, rng);
-                Status s = r.isOk()
-                    ? selfCheck(vk, *r, publicInputs(pk, z))
-                    : r.status();
+                Status s = r.status();
+                if (s.isOk() && opt_.selfCheck)
+                    s = selfCheckProof<Family>(pk, &vk, z, *r, verifier_);
                 double attempt_s =
                     std::chrono::duration<double>(AttemptClock::now() -
                                                   t0)
@@ -287,10 +338,7 @@ class SelfCheckingProver
     static std::vector<Fr>
     publicInputs(const ProvingKey &pk, const std::vector<Fr> &z)
     {
-        if (z.size() < pk.numPublic + 1)
-            return {};
-        return std::vector<Fr>(z.begin() + 1,
-                               z.begin() + 1 + pk.numPublic);
+        return zkp::publicInputs<Family>(pk, z);
     }
 
   private:
@@ -309,36 +357,12 @@ class SelfCheckingProver
             return G::template proveChecked<GzkpMsmPolicy>(
                 pk, cs, z, rng, nullptr, CpuNttEngine<Fr>(),
                 opt_.threads);
-        case ProverBackend::Bellperson:
-            return G::template proveChecked<BellpersonMsmPolicy>(
-                pk, cs, z, rng, nullptr, CpuNttEngine<Fr>(),
-                opt_.threads);
         case ProverBackend::Serial:
             return G::template proveChecked<SerialMsmPolicy>(
                 pk, cs, z, rng, nullptr, CpuNttEngine<Fr>(),
                 opt_.threads);
         }
         return internalError("prover.pipeline: unknown backend");
-    }
-
-    Status
-    selfCheck(const VerifyingKey &vk, const Proof &p,
-              const std::vector<Fr> &pub) const
-    {
-        if (!opt_.selfCheck)
-            return Status::ok();
-        // Structural check first: it is cheap relative to a pairing
-        // and catches coordinate-level corruption (a flipped bit in a
-        // Jacobian coordinate maps to an affine point off the curve).
-        if (!ec::inPrimeSubgroup(p.a) || !ec::inPrimeSubgroup(p.b) ||
-            !ec::inPrimeSubgroup(p.c))
-            return dataLossError(
-                "prover.selfcheck: proof point off curve or outside "
-                "prime-order subgroup");
-        if (verifier_ && !verifier_(vk, p, pub))
-            return dataLossError(
-                "prover.selfcheck: proof failed verification");
-        return Status::ok();
     }
 
     void
@@ -353,7 +377,7 @@ class SelfCheckingProver
     }
 
     Options opt_;
-    Verifier verifier_;
+    Verifier<Family> verifier_;
 };
 
 /**
@@ -364,13 +388,7 @@ inline SelfCheckingProver<Bn254Family>
 makeBn254SelfCheckingProver(
     typename SelfCheckingProver<Bn254Family>::Options opt = {})
 {
-    using P = SelfCheckingProver<Bn254Family>;
-    return P(opt,
-             [](const typename P::VerifyingKey &vk,
-                const typename P::Proof &proof,
-                const std::vector<typename P::Fr> &pub) {
-                 return verifyBn254(vk, proof, pub);
-             });
+    return SelfCheckingProver<Bn254Family>(opt, verifyBn254);
 }
 
 /**

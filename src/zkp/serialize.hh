@@ -174,8 +174,7 @@ deserializeProof(const std::string &text)
     // cofactor is large, so confinement to a small subgroup survives
     // the curve equation. Reject anything outside the r-subgroup at
     // the trust boundary.
-    if (!ec::inPrimeSubgroup(p.a) || !ec::inPrimeSubgroup(p.b) ||
-        !ec::inPrimeSubgroup(p.c))
+    if (!Groth16<Family>::inSubgroup(p))
         throw std::invalid_argument(
             "deserializeProof: point outside prime-order subgroup");
     return p;

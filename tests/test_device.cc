@@ -230,8 +230,9 @@ TEST(DeviceScheduler, SubmitValidatesJobs)
 
     ntt::Domain<Fr> dom(f.keys.pk.domainLog);
     Scheduler::Job noDomain = jobFor(f, 1);
-    auto art = G16::preprocessMsm(f.keys.pk);
-    noDomain.artifacts = &art;
+    auto art = zkp::buildMsmArtifacts<Bn254Family>(f.keys.pk);
+    ASSERT_TRUE(art.isOk()) << art.status().toString();
+    noDomain.artifacts = &*art;
     auto r3 = sched.submit(std::move(noDomain));
     ASSERT_FALSE(r3.isOk());
     EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
@@ -280,6 +281,27 @@ TEST(DeviceScheduler, ProofBytesIdenticalAcrossTopologies)
     EXPECT_EQ(proveOnTopology("cpu:1", n), ref);
     EXPECT_EQ(proveOnTopology("v100:2,1080ti:1,cpu:2t", n), ref);
     EXPECT_EQ(proveOnTopology("1080ti:2", n), ref);
+}
+
+/**
+ * A soft error in POLY's h is only caught by the MSM stage's
+ * self-check, which cannot tell which stage corrupted the proof: the
+ * MSM retry must recompute h, not re-run the MSMs over the same bad
+ * h. The flip fires once, so one recomputation recovers the proof.
+ */
+TEST(DeviceScheduler, RecoversFromPolyBitFlip)
+{
+    const DeviceFixture &f = fx();
+    faultsim::ScopedFaultPlan plan("seed=7;bitflip@groth16.poly.h:1#1");
+    Scheduler sched(schedulerOptions("cpu:1"), zkp::verifyBn254);
+    auto fut = sched.submit(jobFor(f, deriveSeed(0xB17F, 0)));
+    ASSERT_TRUE(fut.isOk()) << fut.status().toString();
+    Scheduler::Result res = fut->get();
+    ASSERT_TRUE(res.status.isOk()) << res.status.toString();
+    ASSERT_TRUE(res.proof.has_value());
+    EXPECT_TRUE(zkp::verifyBn254(f.keys.vk, *res.proof, f.pub));
+    EXPECT_EQ(faultsim::firedCount(), 1u);
+    EXPECT_GE(res.stageRetries, 1u);
 }
 
 TEST(DeviceScheduler, PersistentDeviceFailureQuarantinesOnlyThatDevice)

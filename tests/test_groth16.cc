@@ -12,6 +12,7 @@
 #include "workload/workloads.hh"
 #include "zkp/groth16.hh"
 #include "zkp/groth16_bn254.hh"
+#include "zkp/prover_pipeline.hh"
 
 using namespace gzkp;
 using namespace gzkp::zkp;
@@ -168,6 +169,33 @@ TEST_F(Groth16Bn254, PairingVerifierRejectsTamperedProof)
     bad = proof;
     bad.b = G16::G2::generator().toAffine();
     EXPECT_FALSE(verifyBn254(keys.vk, bad, pub));
+}
+
+/**
+ * selfCheckProof(), the one check the prover pipeline and the device
+ * scheduler run before releasing a proof: a valid group element in
+ * the wrong place, or a wrong public input, passes the subgroup check
+ * and is caught by the verifier; both are kDataLoss.
+ */
+TEST_F(Groth16Bn254, SelfCheckProofFlagsWrongProofsAsDataLoss)
+{
+    auto b = factorCircuit<Fr>(101, 103);
+    auto keys = G16::setup(b.cs(), rng);
+    const std::vector<Fr> &z = b.assignment();
+    auto proof = G16::prove(keys.pk, b.cs(), z, rng);
+    auto check = [&](const G16::Proof &p, const std::vector<Fr> &w) {
+        return selfCheckProof<Bn254Family>(keys.pk, &keys.vk, w, p,
+                                           verifyBn254);
+    };
+    EXPECT_TRUE(check(proof, z).isOk());
+
+    auto bad = proof;
+    bad.c = G16::G1::generator().toAffine();
+    EXPECT_EQ(check(bad, z).code(), StatusCode::kDataLoss);
+
+    std::vector<Fr> wrongPub = z;
+    wrongPub[1] += Fr::one();
+    EXPECT_EQ(check(proof, wrongPub).code(), StatusCode::kDataLoss);
 }
 
 TEST_F(Groth16Bn254, PairingVerifierRejectsWrongInputCount)

@@ -130,7 +130,9 @@ TEST(ServiceBytes, DomainBytesMatchesTwiddleTables)
 
 TEST(ServiceBytes, MsmArtifactsBytesIsSumOfTables)
 {
-    auto art = G16::preprocessMsm(fx().k1.pk, 2);
+    auto built = zkp::buildMsmArtifacts<Bn254Family>(fx().k1.pk, 2);
+    ASSERT_TRUE(built.isOk()) << built.status().toString();
+    const auto &art = *built;
     EXPECT_EQ(art.bytes(), art.a.bytes() + art.b2.bytes() +
                                art.b1.bytes() + art.l.bytes() +
                                art.h.bytes());

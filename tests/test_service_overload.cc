@@ -299,7 +299,7 @@ TEST(BackendHealthTest, BreakerOpensHalfOpensAndCloses)
 TEST(BackendHealthTest, NeutralStatusesDoNotOpenBreaker)
 {
     BackendHealth h(breakerOptions());
-    auto b = zkp::ProverBackend::Bellperson;
+    auto b = zkp::ProverBackend::Serial;
     for (int i = 0; i < 16; ++i) {
         h.record(b, cancelledError("stop"), 0.1);
         h.record(b, deadlineExceededError("late"), 0.1);
@@ -307,21 +307,6 @@ TEST(BackendHealthTest, NeutralStatusesDoNotOpenBreaker)
     }
     EXPECT_EQ(h.state(b), BreakerState::Closed);
     EXPECT_EQ(h.snapshot()[b].windowFailureRate, 0.0);
-}
-
-TEST(BackendHealthTest, HealthyOrderPrefersClosedBackends)
-{
-    BackendHealth h(breakerOptions());
-    Status fail = unavailableError("injected");
-    for (int i = 0; i < 4; ++i)
-        h.record(zkp::ProverBackend::Gzkp, fail, 0.1);
-    auto order = h.healthyOrder();
-    ASSERT_EQ(order.size(), zkp::kProverBackendCount);
-    // Gzkp is open: it sorts last; the healthy ladder keeps its
-    // relative order (Bellperson before Serial).
-    EXPECT_EQ(order[0], zkp::ProverBackend::Bellperson);
-    EXPECT_EQ(order[1], zkp::ProverBackend::Serial);
-    EXPECT_EQ(order[2], zkp::ProverBackend::Gzkp);
 }
 
 /** service.breaker fault: a lying allow() is routing-only. */
