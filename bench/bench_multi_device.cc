@@ -75,9 +75,7 @@ runTopology(const std::string &spec, const workload::Builder<Fr> &b,
         std::exit(1);
     }
     out.devices = topo->size();
-    Scheduler::Options opt;
-    opt.devices = std::move(*topo);
-    Scheduler sched(std::move(opt), zkp::verifyBn254);
+    Scheduler sched(std::move(*topo), zkp::verifyBn254);
 
     std::vector<std::future<Scheduler::Result>> futs;
     for (std::size_t i = 0; i < proofs; ++i) {

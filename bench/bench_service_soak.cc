@@ -17,9 +17,13 @@
  *                     breaker opens and later requests skip the dead
  *                     tier.
  *   brownout_nohealth same brown-out, health tracking OFF -- every
- *                     request re-pays the failed gzkp attempts. The
- *                     p99 gap between these two scenarios is the
- *                     graceful-degradation acceptance number.
+ *                     request re-pays the failed gzkp attempts.
+ *                     The gate is the breaker's own count: the
+ *                     brownout_health run must skip gzkp for at
+ *                     least half of its delivered proofs (this run
+ *                     skips none). The p99 ratio of the two runs is
+ *                     reported, not gated: over ~20 arrivals the p99
+ *                     is close to the maximum and too noisy to gate.
  *   fairness          2x-capacity saturation from two tenants with
  *                     10:1 weights and no deadlines; the completed-
  *                     proof ratio must land within 2x of the weight
@@ -303,7 +307,7 @@ main(int argc, char **argv)
     // soak configuration. The worker drains requests sequentially
     // (threads parallelize inside one prove), so open-loop capacity
     // is 1/mu.
-    double mu;
+    double mu = 0;
     {
         Service::Options opt;
         opt.threads = kThreads;
@@ -343,7 +347,6 @@ main(int argc, char **argv)
         opt.threads = kThreads;
         opt.maxQueueDepth = 64;
         opt.cacheBytes = 256ull << 20;
-        opt.maxAttemptsPerBackend = 2;
         return opt;
     };
 
@@ -424,6 +427,12 @@ main(int argc, char **argv)
     bool fairnessWithin2x = fairnessRatio >= 5.0 &&
         fairnessRatio <= 20.0;
     double p99Ratio = nohealth.p99 > 0 ? health.p99 / nohealth.p99 : 1;
+    auto skipFraction = [](const ScenarioResult &r) {
+        return r.completed == 0
+            ? 0.0
+            : double(r.backendsSkipped) / double(r.completed);
+    };
+    bool skipsAtLeastHalf = 2 * health.backendsSkipped >= health.completed;
     std::size_t lateTotal = 0;
     for (const auto &r : results)
         lateTotal += r.latePastDeadline;
@@ -449,12 +458,17 @@ main(int argc, char **argv)
                  "  ],\n  \"checks\": {\n"
                  "    \"zero_proofs_past_deadline\": %s,\n"
                  "    \"brownout_breaker_opened\": %s,\n"
+                 "    \"brownout_health_skip_fraction\": %.3f,\n"
+                 "    \"brownout_nohealth_skip_fraction\": %.3f,\n"
+                 "    \"brownout_skips_at_least_half\": %s,\n"
                  "    \"brownout_p99_health_over_nohealth\": %.3f,\n"
                  "    \"fairness_goodput_ratio\": %.2f,\n"
                  "    \"fairness_within_2x_of_10\": %s\n  }\n}\n",
                  lateTotal == 0 ? "true" : "false",
                  health.breakerOpens >= 1 ? "true" : "false",
-                 p99Ratio, fairnessRatio,
+                 skipFraction(health), skipFraction(nohealth),
+                 skipsAtLeastHalf ? "true" : "false", p99Ratio,
+                 fairnessRatio,
                  fairnessWithin2x ? "true" : "false");
     std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", outPath.c_str());
@@ -473,12 +487,11 @@ main(int argc, char **argv)
     check(health.completed > 0, "brownout_health completed no proofs");
     check(health.breakerOpens >= 1,
           "brown-out never opened the breaker");
-    check(health.backendsSkipped >= 1,
-          "breaker never skipped the dead backend");
+    check(skipsAtLeastHalf,
+          "breaker skipped the dead backend for fewer than half of "
+          "the brown-out's delivered proofs");
     check(nohealth.breakerOpens == 0,
           "health tracking was supposed to be off");
-    check(health.p99 <= nohealth.p99 * 2.0 + 0.05,
-          "health-tracked p99 regressed past the no-health baseline");
     check(fair.shedSubmit + fair.failedTyped > 0,
           "fairness scenario never saturated");
     check(fairnessRatio >= (smoke ? 4.0 : 5.0) &&

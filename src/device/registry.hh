@@ -1,6 +1,7 @@
 /**
  * @file
- * Device registry: the GZKP_DEVICES topology spec and its parser.
+ * Device registry: the device topology spec (ProofService::Options::
+ * deviceSpec, service_driver --devices) and its parser.
  *
  * Topology grammar (documented in DESIGN.md "Multi-device
  * scheduling"):
@@ -27,7 +28,6 @@
 #define GZKP_DEVICE_REGISTRY_HH
 
 #include <cctype>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -125,24 +125,6 @@ parseTopology(std::string_view spec)
         return invalidArgumentError(
             "device.topology: empty spec");
     return out;
-}
-
-/**
- * The GZKP_DEVICES environment topology, or an empty vector when the
- * variable is unset, empty, or malformed (an env typo falls back to
- * the single-lane path rather than failing construction -- the same
- * leniency every other GZKP_* variable gets).
- */
-inline std::vector<DeviceSpec>
-topologyFromEnv()
-{
-    const char *env = std::getenv("GZKP_DEVICES");
-    if (env == nullptr || *env == '\0')
-        return {};
-    auto parsed = parseTopology(env);
-    if (!parsed.isOk())
-        return {};
-    return std::move(*parsed);
 }
 
 } // namespace gzkp::device

@@ -34,11 +34,15 @@
  * earliest-placed pending task is runnable, so the fleet cannot
  * deadlock. Stage failures (device.fail / device.mem, or a real
  * fault) are retried inline on a re-placed device with a fresh fault
- * epoch, bounded by maxStageAttempts (an MSM retry after a failed
+ * epoch, bounded by kMaxStageAttempts (an MSM retry after a failed
  * self-check recomputes POLY's h too, since either stage may have
- * corrupted the proof); each device is a failure domain with its own
- * SlidingBreaker (health.hh), so a persistently failing card is
- * quarantined while the rest keep serving.
+ * corrupted the proof). Every assembled proof passes
+ * zkp::selfCheckProof() before it is delivered. Each device is a
+ * failure domain with its own SlidingBreaker (service/breaker.hh),
+ * held in its PerDevice slot under the scheduler mutex, so a
+ * persistently failing card is quarantined while the rest keep
+ * serving. Cooperative stops and caller bugs never indict a device
+ * (service::neutralStatus).
  */
 
 #ifndef GZKP_DEVICE_SCHEDULER_HH
@@ -59,11 +63,11 @@
 
 #include "device/cost_model.hh"
 #include "device/device.hh"
-#include "device/health.hh"
 #include "faultsim/faultsim.hh"
 #include "ntt/domain.hh"
 #include "runtime/runtime.hh"
 #include "service/admission.hh"
+#include "service/breaker.hh"
 #include "status/status.hh"
 #include "zkp/groth16.hh"
 #include "zkp/prover_pipeline.hh"
@@ -72,6 +76,12 @@ namespace gzkp::device {
 
 /** Modeled-time inflation of a stage hit by `device.slow`. */
 inline constexpr double kSlowFactor = 8.0;
+
+/** Per-device bound on queued stages; submit() blocks at it. */
+inline constexpr std::size_t kMaxQueuedStages = 8;
+
+/** Total placements of one stage (first try + retries). */
+inline constexpr std::size_t kMaxStageAttempts = 3;
 
 /**
  * One device's observable state (ProofService::stats() re-exports
@@ -103,17 +113,6 @@ class StageScheduler
     using VerifyingKey = typename G16::VerifyingKey;
     using MsmArtifacts = typename G16::MsmArtifacts;
 
-    struct Options {
-        std::vector<DeviceSpec> devices;
-        /** Per-device bound on queued stages; submit() blocks at it. */
-        std::size_t maxQueueDepth = 8;
-        /** Total placements of one stage (first try + retries). */
-        std::size_t maxStageAttempts = 3;
-        /** zkp::selfCheckProof() on every assembled proof. */
-        bool selfCheck = true;
-        service::BreakerOptions healthOptions;
-    };
-
     /**
      * One proof job. Pointer fields are borrowed: the caller keeps
      * them (and the cancel token) alive until the future resolves.
@@ -133,7 +132,7 @@ class StageScheduler
     struct Result {
         Status status;
         std::optional<Proof> proof;
-        int polyDevice = -1; //!< index into Options::devices
+        int polyDevice = -1; //!< index into devices()
         int msmDevice = -1;
         double polyModelSeconds = 0; //!< placed estimate (incl. slow)
         double msmModelSeconds = 0;
@@ -149,16 +148,15 @@ class StageScheduler
         std::uint64_t stageRetries = 0;
     };
 
-    explicit StageScheduler(Options opt,
+    explicit StageScheduler(std::vector<DeviceSpec> devices,
                             zkp::Verifier<Family> verifier = {})
-        : opt_(std::move(opt)), verifier_(std::move(verifier)),
-          health_(opt_.devices.size(), opt_.healthOptions),
-          dev_(opt_.devices.size())
+        : devices_(std::move(devices)), verifier_(std::move(verifier)),
+          dev_(devices_.size())
     {
-        if (opt_.devices.empty())
+        if (devices_.empty())
             throw std::invalid_argument(
                 "StageScheduler: empty device topology");
-        for (std::size_t d = 0; d < opt_.devices.size(); ++d)
+        for (std::size_t d = 0; d < devices_.size(); ++d)
             workers_.emplace_back([this, d] { workerLoop(d); });
     }
 
@@ -167,14 +165,11 @@ class StageScheduler
     StageScheduler(const StageScheduler &) = delete;
     StageScheduler &operator=(const StageScheduler &) = delete;
 
-    const std::vector<DeviceSpec> &devices() const
-    {
-        return opt_.devices;
-    }
+    const std::vector<DeviceSpec> &devices() const { return devices_; }
 
     /**
      * Place both stages and enqueue them. Blocks while either chosen
-     * device's queue is at maxQueueDepth (bounded pipelining depth).
+     * device's queue is at kMaxQueuedStages (bounded pipelining depth).
      */
     StatusOr<std::future<Result>>
     submit(Job job)
@@ -209,8 +204,8 @@ class StageScheduler
                                     poly.finish, /*avoid=*/-1);
         cv_.wait(lk, [&] {
             return stopping_ ||
-                (dev_[poly.device].queue.size() < opt_.maxQueueDepth &&
-                 dev_[msm.device].queue.size() < opt_.maxQueueDepth);
+                (dev_[poly.device].queue.size() < kMaxQueuedStages &&
+                 dev_[msm.device].queue.size() < kMaxQueuedStages);
         });
         if (stopping_)
             return unavailableError("device.submit: scheduler stopped");
@@ -250,8 +245,6 @@ class StageScheduler
             t.join();
     }
 
-    DeviceHealth &health() { return health_; }
-
     Stats
     stats() const
     {
@@ -266,13 +259,13 @@ class StageScheduler
         for (std::size_t d = 0; d < dev_.size(); ++d) {
             const PerDevice &pd = dev_[d];
             DeviceGauges g = pd.gauges;
-            g.name = opt_.devices[d].name;
-            g.kind = opt_.devices[d].kind;
+            g.name = devices_[d].name;
+            g.kind = devices_[d].kind;
             g.queueDepth = pd.queue.size();
             g.inFlight = pd.inFlight ? 1 : 0;
-            g.breaker = health_.state(d);
-            g.quarantines = health_.opens(d);
-            g.failures = health_.failures(d);
+            g.breaker = pd.breaker.state();
+            g.quarantines = pd.breaker.opens();
+            g.failures = pd.breaker.failures();
             g.costSamples = estimator_.samples(estKey(d, StageKind::Poly)) +
                 estimator_.samples(estKey(d, StageKind::Msm));
             s.devices.push_back(std::move(g));
@@ -309,6 +302,9 @@ class StageScheduler
         bool inFlight = false;
         double busyUntil = 0; //!< virtual clock (planned schedule)
         DeviceGauges gauges;  //!< counters only; identity filled late
+        /** This failure domain's breaker; fed *modeled* stage times
+            (wall clock never reaches placement). */
+        service::SlidingBreaker breaker;
     };
 
     struct Placement {
@@ -331,7 +327,7 @@ class StageScheduler
                    const ProofShape &shape) const
     {
         double seed = CostModel<Family>::seedSeconds(stage, shape,
-                                                     opt_.devices[d]);
+                                                     devices_[d]);
         std::size_t key = estKey(d, stage);
         if (estimator_.samples(key) > 0)
             seed *= estimator_.estimate(key);
@@ -350,7 +346,7 @@ class StageScheduler
     {
         std::vector<std::size_t> admitted;
         for (std::size_t d = 0; d < dev_.size(); ++d)
-            if (health_.allow(d))
+            if (dev_[d].breaker.allow())
                 admitted.push_back(d);
         if (admitted.empty())
             for (std::size_t d = 0; d < dev_.size(); ++d)
@@ -371,7 +367,7 @@ class StageScheduler
             // that learns from it) sees the slowdown. Timing-only.
             bool slow = faultsim::active() &&
                 faultsim::shouldFire(faultsim::FaultKind::Launch,
-                                     opt_.devices[d].slowSite.c_str(),
+                                     devices_[d].slowSite.c_str(),
                                      placeSeq_);
             double eff = slow ? est * kSlowFactor : est;
             double start = std::max(dev_[d].busyUntil, depReady);
@@ -443,7 +439,7 @@ class StageScheduler
     attemptStage(std::size_t d, StageTask &task)
     {
         JobState &js = *task.js;
-        const DeviceSpec &spec = opt_.devices[d];
+        const DeviceSpec &spec = devices_[d];
         const char *stageName = task.kind == StageKind::Poly
             ? "device.poly"
             : "device.msm";
@@ -480,13 +476,10 @@ class StageScheduler
                         *js.job.pk, js.job.witness, js.h, spec.threads);
                 }
                 Proof p = G16::assembleProof(*js.job.pk, m, js.r, js.s);
-                if (opt_.selfCheck) {
-                    Status chk = zkp::selfCheckProof<Family>(
-                        *js.job.pk, js.job.vk, js.job.witness, p,
-                        verifier_);
-                    if (!chk.isOk())
-                        throw StatusError(chk);
-                }
+                Status chk = zkp::selfCheckProof<Family>(
+                    *js.job.pk, js.job.vk, js.job.witness, p, verifier_);
+                if (!chk.isOk())
+                    throw StatusError(chk);
                 js.result.proof = std::move(p);
             }
         });
@@ -519,12 +512,16 @@ class StageScheduler
         Status st;
         for (std::size_t attempt = 0;; ++attempt) {
             st = attemptStage(dev, task);
-            health_.record(dev, st, task.estimate);
+            std::lock_guard<std::mutex> lk(mu_);
+            service::SlidingBreaker &breaker = dev_[dev].breaker;
+            breaker.countAttempt();
+            if (!service::neutralStatus(st.code()))
+                breaker.record(st.isOk(), task.estimate);
             if (st.isOk() || !zkp::retryableStatus(st.code()) ||
-                attempt + 1 >= opt_.maxStageAttempts) {
+                attempt + 1 >= kMaxStageAttempts) {
                 *devUsed = int(dev);
                 *estUsed = task.estimate;
-                recordSample(dev, task);
+                recordSampleLocked(dev, task);
                 return st;
             }
             // Transient injected faults clear on a new epoch;
@@ -536,7 +533,6 @@ class StageScheduler
             if (task.kind == StageKind::Msm &&
                 st.code() == StatusCode::kDataLoss)
                 task.redoPoly = true;
-            std::lock_guard<std::mutex> lk(mu_);
             ++stageRetries_;
             ++task.js->result.stageRetries;
             Placement p = placeLocked(task.kind, task.js->shape,
@@ -552,11 +548,10 @@ class StageScheduler
 
     /** Feed the EWMA ratio (observed modeled / seeded estimate). */
     void
-    recordSample(std::size_t dev, const StageTask &task)
+    recordSampleLocked(std::size_t dev, const StageTask &task)
     {
-        std::lock_guard<std::mutex> lk(mu_);
         double seed = CostModel<Family>::seedSeconds(
-            task.kind, task.js->shape, opt_.devices[dev]);
+            task.kind, task.js->shape, devices_[dev]);
         if (seed > 0)
             estimator_.record(estKey(dev, task.kind),
                               task.estimate / seed);
@@ -579,7 +574,7 @@ class StageScheduler
                 js.failed = true;
                 js.result.status =
                     st.withContext("device.poly[" +
-                                   opt_.devices[devUsed].name + "]");
+                                   devices_[devUsed].name + "]");
             }
         }
         js.cv.notify_all();
@@ -616,7 +611,7 @@ class StageScheduler
                 js.result.proof.reset();
                 js.result.status =
                     st.withContext("device.msm[" +
-                                   opt_.devices[devUsed].name + "]");
+                                   devices_[devUsed].name + "]");
             }
             res = std::move(js.result);
         }
@@ -642,9 +637,8 @@ class StageScheduler
         idleCv_.notify_all();
     }
 
-    Options opt_;
+    std::vector<DeviceSpec> devices_;
     zkp::Verifier<Family> verifier_;
-    DeviceHealth health_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

@@ -14,7 +14,8 @@
  *  - keyed by pkContentHash(): two registrations of byte-identical
  *    proving keys share one entry; a different key never aliases;
  *  - memory-budgeted: total resident bytes() of Ready entries never
- *    exceeds the budget (GZKP_CACHE_BYTES, see service.cc). Inserting
+ *    exceeds the budget (kDefaultCacheBytes unless the owner passes
+ *    one, e.g. ProofService::Options::cacheBytes). Inserting
  *    past the budget evicts least-recently-used Ready entries first;
  *    in-flight readers keep evicted artifacts alive through their
  *    shared_ptr, so eviction never invalidates a running proof;
@@ -52,22 +53,17 @@
 
 namespace gzkp::service {
 
-// ------------------------------------------------ cache budget (env)
+// ------------------------------------------------------ cache budget
 
-/** Hard-coded fallback when GZKP_CACHE_BYTES is unset: 256 MiB. */
+/** The budget of a cache constructed with 0 bytes: 256 MiB. */
 inline constexpr std::uint64_t kDefaultCacheBytes = 256ull << 20;
 
 /**
- * Parse a byte-count spec: a positive decimal with an optional k/m/g
- * suffix (binary multiples, case-insensitive). 0 on a malformed spec.
+ * Parse a byte-count spec (the --cache-bytes flag): a positive decimal
+ * with an optional k/m/g suffix (binary multiples, case-insensitive).
+ * 0 on a malformed spec.
  */
 std::uint64_t parseCacheBytesSpec(const char *spec);
-
-/** GZKP_CACHE_BYTES, else kDefaultCacheBytes; cached after one read. */
-std::uint64_t defaultCacheBytes();
-
-/** Override the default budget (tests); 0 re-reads the environment. */
-void setDefaultCacheBytes(std::uint64_t bytes);
 
 // ------------------------------------------------ per-circuit bundle
 
@@ -204,8 +200,7 @@ maybeCorruptCachedTable(CircuitArtifacts<Family> &art, std::uint64_t key)
 template <typename Family>
 StatusOr<std::shared_ptr<const CircuitArtifacts<Family>>>
 buildCircuitArtifacts(const typename zkp::Groth16<Family>::ProvingKey &pk,
-                      std::uint64_t key, std::size_t threads = 0,
-                      std::size_t max_attempts = 3)
+                      std::uint64_t key, std::size_t threads = 0)
 {
     Status probe = statusGuardVoid("service.cache.build", [&] {
         faultsim::checkAlloc("service.cache.build", key);
@@ -215,7 +210,7 @@ buildCircuitArtifacts(const typename zkp::Groth16<Family>::ProvingKey &pk,
     art->numVars = pk.numVars;
     art->numPublic = pk.numPublic;
     GZKP_ASSIGN_OR_RETURN(
-        art->msm, zkp::buildMsmArtifacts<Family>(pk, threads, max_attempts));
+        art->msm, zkp::buildMsmArtifacts<Family>(pk, threads));
     maybeCorruptCachedTable(*art, key);
     return std::shared_ptr<const CircuitArtifacts<Family>>(std::move(art));
 }
@@ -247,9 +242,9 @@ class ArtifactCache
         std::size_t entries = 0;
     };
 
-    /** budget_bytes = 0 means defaultCacheBytes(). */
+    /** budget_bytes = 0 means kDefaultCacheBytes. */
     explicit ArtifactCache(std::uint64_t budget_bytes = 0)
-        : budget_(budget_bytes != 0 ? budget_bytes : defaultCacheBytes())
+        : budget_(budget_bytes != 0 ? budget_bytes : kDefaultCacheBytes)
     {}
 
     std::uint64_t budgetBytes() const { return budget_; }

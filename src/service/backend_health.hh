@@ -6,7 +6,7 @@
  * independently failing accelerators behind a scheduler.
  * SelfCheckingProver demotes down the GZKP -> serial ladder, but on
  * its own the decision is per request: a backend browned out for
- * minutes would still eat maxAttemptsPerBackend failed attempts on
+ * minutes would still eat kAttemptsPerBackend failed attempts on
  * *every* request. BackendHealth turns demotion into a learned,
  * service-wide decision:
  *
@@ -19,10 +19,10 @@
  *    breaker.hh): Closed -> Open on windowed failure rate -> HalfOpen
  *    probe after a deterministic denial-counted cooldown -> Closed on
  *    probe success. The same core guards the multi-device scheduler's
- *    per-device failure domains (src/device/health.hh);
+ *    per-device failure domains (src/device/scheduler.hh);
  *  - implements zkp::BackendMonitor, so the registry plugs straight
- *    into SelfCheckingProver: ProofService shares one instance across
- *    all requests and hedged attempts.
+ *    into SelfCheckingProver: each ProofService owns one instance and
+ *    shares it across all its requests and hedged attempts.
  *
  * Fault site "service.breaker": an injected launch fault makes
  * allow() spuriously deny a healthy backend (a lying health signal).

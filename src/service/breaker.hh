@@ -5,7 +5,7 @@
  * Extracted from BackendHealth (backend_health.hh) so the same state
  * machine guards any independently failing executor -- a prover
  * backend class, or one device of the multi-device scheduler
- * (src/device/health.hh). One breaker watches one failure domain:
+ * (src/device/scheduler.hh). One breaker watches one failure domain:
  *
  *   Closed ── window failure rate >= threshold at >= minSamples ──> Open
  *   Open ──── cooldownTarget denied admissions ──> HalfOpen (probe)
@@ -17,9 +17,9 @@
  * breaker trace replays deterministically under a fixed admission
  * sequence, the same property the fault simulator has.
  *
- * SlidingBreaker is deliberately *not* synchronized: the registry
- * that owns a set of breakers (BackendHealth, DeviceHealth) holds
- * them under its own mutex, exactly as BackendHealth always did.
+ * SlidingBreaker is deliberately *not* synchronized: its owner holds
+ * it under its own mutex (BackendHealth's registry lock, the
+ * StageScheduler's scheduler lock).
  */
 
 #ifndef GZKP_SERVICE_BREAKER_HH

@@ -8,8 +8,9 @@
  * deficit-round-robin (DRR) scheduler over the *active* tenants:
  *
  *  - every tenant carries a weight (default 1, configured per service
- *    or via the GZKP_TENANT_WEIGHTS environment variable, see
- *    parseTenantWeightsSpec()); a visit in the DRR ring refills the
+ *    through ProofService::Options::tenantWeights, which the driver's
+ *    --tenant-weights flag fills via parseTenantWeightsSpec()); a
+ *    visit in the DRR ring refills the
  *    tenant's deficit by its weight and the tenant is served one
  *    request per deficit unit, so under saturation tenant goodput
  *    converges to the weight ratio regardless of arrival bursts;
@@ -39,20 +40,12 @@
 namespace gzkp::service {
 
 /**
- * Parse a GZKP_TENANT_WEIGHTS-style spec: comma-separated
- * `tenant:weight` pairs (`=` also accepted), e.g. "0:10,1:1,7:3".
- * Weights are clamped to [1, 10^6]. Malformed specs return a typed
- * kInvalidArgument.
+ * Parse a tenant-weight spec: comma-separated `tenant:weight` pairs
+ * (`=` also accepted), e.g. "0:10,1:1,7:3". Weights are clamped to
+ * [1, 10^6]. Malformed specs return a typed kInvalidArgument.
  */
 StatusOr<std::map<std::uint64_t, std::uint64_t>>
 parseTenantWeightsSpec(const char *spec);
-
-/**
- * The process-wide default tenant weight map: GZKP_TENANT_WEIGHTS if
- * set and well-formed, else empty (every tenant weight 1). Re-read on
- * every call (services snapshot it at construction).
- */
-std::map<std::uint64_t, std::uint64_t> tenantWeightsFromEnv();
 
 /**
  * Weighted fair-share queue: per-tenant FIFO-with-priority queues

@@ -11,8 +11,7 @@
  *    priority; a per-tenant deficit-round-robin queue (fair_queue.hh)
  *    replaces the PR-4 FIFO, so a burst tenant can fill its own share
  *    of the queue but not starve the others. Weights come from
- *    Options::tenantWeights or the GZKP_TENANT_WEIGHTS environment
- *    variable;
+ *    Options::tenantWeights and setTenantWeight();
  *  - admission control & load shedding: a bounded queue rejects past
  *    the high-watermark with kResourceExhausted, and deadline-aware
  *    admission (admission.hh) rejects with kDeadlineExceeded when the
@@ -21,13 +20,13 @@
  *    doomed requests are shed, not proved, and a proof that finishes
  *    after its deadline is dropped (typed error), never delivered --
  *    the service completes zero proofs past their deadline;
- *  - backend health: a shared BackendHealth registry
+ *  - backend health: one BackendHealth registry per service
  *    (backend_health.hh) watches every prover attempt across all
  *    requests; open circuit breakers make SelfCheckingProver skip a
  *    browned-out backend outright instead of paying its retry budget
  *    on every request;
- *  - hedged retry: when the remaining deadline budget falls below a
- *    p99-derived threshold (or Options::forceHedge), the proof is
+ *  - hedged retry: when the remaining deadline budget falls below
+ *    kHedgeFactor x p99 (or Options::forceHedge), the proof is
  *    launched on the serial backend concurrently and the first
  *    valid result wins; the loser is cancelled through a child
  *    CancelToken. Proof bytes depend only on (circuit, witness, seed)
@@ -38,8 +37,8 @@
  *    tables are paid once per circuit, not once per proof. A cache
  *    miss-under-pressure downgrades to proving uncached -- never a
  *    failure;
- *  - multi-device scheduling: with a device topology (GZKP_DEVICES
- *    or Options::deviceSpec), each proof's POLY and MSM stages are
+ *  - multi-device scheduling: with a device topology
+ *    (Options::deviceSpec), each proof's POLY and MSM stages are
  *    placed onto a heterogeneous fleet of simulated GPUs and CPU
  *    workers and pipelined across requests
  *    (src/device/scheduler.hh); each device is its own quarantine
@@ -109,6 +108,9 @@ namespace gzkp::service {
  */
 using ProofRng = std::mt19937_64;
 
+/** Hedge when the remaining budget < kHedgeFactor * p99(circuit). */
+inline constexpr double kHedgeFactor = 1.5;
+
 template <typename Family>
 class ProofService
 {
@@ -135,48 +137,29 @@ class ProofService
         /** Same-circuit requests coalesced per drain. */
         std::size_t maxBatch = 8;
         std::size_t threads = 0;       //!< 0 = GZKP_THREADS default
-        std::uint64_t cacheBytes = 0;  //!< 0 = GZKP_CACHE_BYTES default
-        std::size_t maxAttemptsPerBackend = 2;
-        std::size_t preprocessAttempts = 3;
-        bool selfCheck = true;
-
-        /** Deadline-aware admission + queue-time shedding. */
-        bool admissionControl = true;
-        /** Cost-model multiplier in the feasibility check. */
-        double admissionSafety = 1.0;
+        std::uint64_t cacheBytes = 0;  //!< 0 = kDefaultCacheBytes
 
         /** Cross-request backend health with circuit breakers. */
         bool healthTracking = true;
-        /** Share a registry across services (nullptr = own one). */
-        BackendHealth *health = nullptr;
         BackendHealth::Options healthOptions;
 
         /** Hedged retry on the serial backend. */
         bool hedging = true;
-        /** Hedge when remaining budget < hedgeFactor * p99(circuit). */
-        double hedgeFactor = 1.5;
         /** Hedge every request regardless of budget (tests/bench). */
         bool forceHedge = false;
 
-        /** Initial tenant weights; GZKP_TENANT_WEIGHTS overrides. */
+        /** Initial tenant weights (unlisted tenants weigh 1). */
         std::map<std::uint64_t, std::uint64_t> tenantWeights;
 
         /**
          * Multi-device scheduling: a device topology spec in the
          * registry.hh grammar (e.g. "v100:2,1080ti:1,cpu:4t"). Empty
-         * falls back to the GZKP_DEVICES environment variable; when
-         * that is empty too, proofs run single-lane through
-         * SelfCheckingProver as before. A malformed explicit spec
-         * throws StatusError at construction (an env typo is lenient
-         * and just disables the device path). Proof bytes are
-         * identical on every topology -- placement never touches the
-         * (circuit, witness, seed) -> proof function.
+         * means proofs run single-lane through SelfCheckingProver. A
+         * malformed spec throws StatusError at construction. Proof
+         * bytes are identical on every topology -- placement never
+         * touches the (circuit, witness, seed) -> proof function.
          */
         std::string deviceSpec;
-        /** Per-device queued-stage bound of the device scheduler. */
-        std::size_t deviceQueueDepth = 8;
-        /** Breaker tuning of the per-device failure domains. */
-        BreakerOptions deviceHealthOptions;
     };
 
     struct Request {
@@ -254,32 +237,16 @@ class ProofService
                           zkp::Verifier<Family> verifier = {})
         : opt_(opt), verifier_(std::move(verifier)), cache_(opt.cacheBytes)
     {
-        if (opt_.healthTracking && opt_.health == nullptr) {
-            ownedHealth_ =
-                std::make_unique<BackendHealth>(opt_.healthOptions);
-        }
+        if (opt_.healthTracking)
+            health_ = std::make_unique<BackendHealth>(opt_.healthOptions);
         for (const auto &[tenant, weight] : opt_.tenantWeights)
             queue_.setWeight(tenant, weight);
-        for (const auto &[tenant, weight] : tenantWeightsFromEnv())
-            queue_.setWeight(tenant, weight);
-
-        std::vector<device::DeviceSpec> devices;
         if (!opt_.deviceSpec.empty()) {
-            auto parsed = device::parseTopology(opt_.deviceSpec);
-            if (!parsed.isOk())
-                throw StatusError(parsed.status());
-            devices = std::move(*parsed);
-        } else {
-            devices = device::topologyFromEnv();
-        }
-        if (!devices.empty()) {
-            typename Scheduler::Options sopt;
-            sopt.devices = std::move(devices);
-            sopt.maxQueueDepth = opt_.deviceQueueDepth;
-            sopt.selfCheck = opt_.selfCheck;
-            sopt.healthOptions = opt_.deviceHealthOptions;
+            auto devices = device::parseTopology(opt_.deviceSpec);
+            if (!devices.isOk())
+                throw StatusError(devices.status());
             scheduler_ =
-                std::make_unique<Scheduler>(std::move(sopt), verifier_);
+                std::make_unique<Scheduler>(std::move(*devices), verifier_);
         }
     }
 
@@ -325,11 +292,7 @@ class ProofService
     }
 
     /** The health registry (nullptr when healthTracking is off). */
-    BackendHealth *
-    health()
-    {
-        return opt_.health != nullptr ? opt_.health : ownedHealth_.get();
-    }
+    BackendHealth *health() { return health_.get(); }
 
     /**
      * Admit a request. Returns the future that will carry its Result,
@@ -388,16 +351,14 @@ class ProofService
                 std::to_string(opt_.maxQueuePerTenant) + "; retry later");
         }
         double est = estimator_.estimate(req.circuit);
-        if (opt_.admissionControl && req.timeout.count() > 0 &&
-            est > 0) {
+        if (req.timeout.count() > 0 && est > 0) {
             // Feasibility: the backlog ahead of this request plus its
             // own estimated prove must fit in the deadline budget. A
             // never-observed circuit estimates 0 (optimistic cold
             // start: admit and learn).
             double budget =
                 std::chrono::duration<double>(req.timeout).count();
-            double eta = queuedCost_ + inFlightCost_ +
-                est * opt_.admissionSafety;
+            double eta = queuedCost_ + inFlightCost_ + est;
             if (eta > budget) {
                 ++stats_.rejected;
                 ++stats_.shedAdmission;
@@ -486,23 +447,19 @@ class ProofService
             // Queue-time re-check: work whose deadline has passed or
             // can no longer fit its own prove is shed here, before it
             // costs a prove.
-            if (opt_.admissionControl) {
-                auto now = Clock::now();
-                for (auto it = batch.begin(); it != batch.end();) {
-                    bool doom = false;
-                    if (it->hasDeadline) {
-                        double remaining = seconds(it->deadline - now);
-                        double est = estimator_.estimate(it->circuit);
-                        doom = remaining <= 0 ||
-                            (est > 0 &&
-                             est * opt_.admissionSafety > remaining);
-                    }
-                    if (doom) {
-                        doomed.push_back(std::move(*it));
-                        it = batch.erase(it);
-                    } else {
-                        ++it;
-                    }
+            auto now = Clock::now();
+            for (auto it = batch.begin(); it != batch.end();) {
+                bool doom = false;
+                if (it->hasDeadline) {
+                    double remaining = seconds(it->deadline - now);
+                    double est = estimator_.estimate(it->circuit);
+                    doom = remaining <= 0 || est > remaining;
+                }
+                if (doom) {
+                    doomed.push_back(std::move(*it));
+                    it = batch.erase(it);
+                } else {
+                    ++it;
                 }
             }
             for (const Pending &p : batch) {
@@ -530,8 +487,7 @@ class ProofService
             circuit->hash,
             [&] {
                 return buildCircuitArtifacts<Family>(
-                    circuit->pk, circuit->hash, opt_.threads,
-                    opt_.preprocessAttempts);
+                    circuit->pk, circuit->hash, opt_.threads);
             },
             &hit);
         double build_s = seconds(Clock::now() - t0);
@@ -628,11 +584,9 @@ class ProofService
             s.queueDepth = queue_.size();
         }
         s.cache = cache_.stats();
-        const BackendHealth *h =
-            opt_.health != nullptr ? opt_.health : ownedHealth_.get();
-        if (h != nullptr) {
+        if (health_ != nullptr) {
             s.healthTracking = true;
-            s.health = h->snapshot();
+            s.health = health_->snapshot();
         }
         if (scheduler_ != nullptr) {
             s.deviceScheduling = true;
@@ -678,14 +632,6 @@ class ProofService
         return std::chrono::duration<double>(d).count();
     }
 
-    BackendHealth *
-    monitor()
-    {
-        if (!opt_.healthTracking)
-            return nullptr;
-        return opt_.health != nullptr ? opt_.health : ownedHealth_.get();
-    }
-
     /** Resolve a request shed at dequeue (never proved). */
     void
     resolveShed(Pending p, Status why)
@@ -724,10 +670,8 @@ class ProofService
             token.setDeadline(p.deadline);
 
         typename Prover::Options popt;
-        popt.maxAttemptsPerBackend = opt_.maxAttemptsPerBackend;
         popt.threads = opt_.threads;
-        popt.selfCheck = opt_.selfCheck;
-        popt.monitor = monitor();
+        popt.monitor = health_.get();
         if (art) {
             popt.artifacts = &art->msm;
             popt.domain = &art->domain;
@@ -747,8 +691,7 @@ class ProofService
                 hedge = true;
             } else if (p.hasDeadline && p99 > 0) {
                 double remaining = seconds(p.deadline - start);
-                hedge = remaining > 0 &&
-                    remaining < opt_.hedgeFactor * p99;
+                hedge = remaining > 0 && remaining < kHedgeFactor * p99;
             }
             if (hedge) {
                 secondary = pickSecondary();
@@ -931,8 +874,8 @@ class ProofService
     std::optional<zkp::ProverBackend>
     pickSecondary()
     {
-        BackendHealth *h = monitor();
-        if (h != nullptr && !h->allow(zkp::ProverBackend::Serial))
+        if (health_ != nullptr &&
+            !health_->allow(zkp::ProverBackend::Serial))
             return std::nullopt;
         return zkp::ProverBackend::Serial;
     }
@@ -1023,7 +966,7 @@ class ProofService
     zkp::Verifier<Family> verifier_;
     Cache cache_;
     runtime::CancelToken shutdown_;
-    std::unique_ptr<BackendHealth> ownedHealth_;
+    std::unique_ptr<BackendHealth> health_; //!< null: healthTracking off
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

@@ -158,7 +158,6 @@ runChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
 
     faultsim::ScopedFaultPlan guard(plan);
     zkp::SelfCheckingProver<zkp::Bn254Family>::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     auto prover = zkp::makeBn254SelfCheckingProver(opt);
 
@@ -285,7 +284,6 @@ runServiceChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
 
     faultsim::ScopedFaultPlan guard(plan);
     typename Service::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     opt.maxQueueDepth = requests;
     opt.cacheBytes = 64ull << 20;
@@ -439,7 +437,6 @@ runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
 
     faultsim::ScopedFaultPlan guard(plan);
     typename Service::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     opt.maxQueueDepth = kOverloadChaosRequests;
     opt.cacheBytes = 64ull << 20;

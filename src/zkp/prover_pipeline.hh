@@ -17,11 +17,11 @@
  *     proof that fails either check becomes a kDataLoss status and is
  *     never returned to the caller;
  *  3. retryable failures (kResourceExhausted, kUnavailable,
- *     kDataLoss, kInternal) are retried up to maxAttemptsPerBackend
- *     times with bounded exponential backoff; faultsim::advanceEpoch()
- *     runs between attempts so *transient* injected faults (limited
- *     arms, or arms whose hash misses in the next epoch) clear while
- *     *persistent* ones keep firing;
+ *     kDataLoss, kInternal) are retried up to kAttemptsPerBackend
+ *     times; faultsim::advanceEpoch() runs between attempts so
+ *     *transient* injected faults (limited arms, or arms whose hash
+ *     misses in the next epoch) clear while *persistent* ones keep
+ *     firing;
  *  4. when the GZKP backend exhausts its attempts the pipeline
  *     demotes to serial Pippenger and starts over. (The
  *     bellperson-like engine is the paper's GPU baseline, kept for
@@ -45,13 +45,11 @@
 #ifndef GZKP_ZKP_PROVER_PIPELINE_HH
 #define GZKP_ZKP_PROVER_PIPELINE_HH
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -67,6 +65,9 @@ namespace gzkp::zkp {
 enum class ProverBackend { Gzkp = 0, Serial = 1 };
 
 inline constexpr std::size_t kProverBackendCount = 2;
+
+/** Attempts per backend before the ladder demotes to the next one. */
+inline constexpr std::size_t kAttemptsPerBackend = 2;
 
 inline const char *
 name(ProverBackend b)
@@ -200,13 +201,8 @@ class SelfCheckingProver
     using VerifyingKey = typename G::VerifyingKey;
 
     struct Options {
-        std::size_t maxAttemptsPerBackend = 2;
         ProverBackend start = ProverBackend::Gzkp;
-        /** Base of the bounded exponential backoff; 0 = no sleep. */
-        std::chrono::milliseconds backoffBase{0};
-        std::chrono::milliseconds backoffCap{100};
         std::size_t threads = 0; //!< 0 = GZKP_THREADS default
-        bool selfCheck = true;
         runtime::CancelToken *cancel = nullptr;
         /**
          * Cached per-circuit artifacts (serving layer). When both are
@@ -294,8 +290,8 @@ class SelfCheckingProver
         Status last =
             internalError("prover.pipeline: no attempt executed");
         for (ProverBackend backend : ladder) {
-            for (std::size_t attempt = 0;
-                 attempt < opt_.maxAttemptsPerBackend; ++attempt) {
+            for (std::size_t attempt = 0; attempt < kAttemptsPerBackend;
+                 ++attempt) {
                 if (opt_.cancel) {
                     Status s = opt_.cancel->check();
                     if (!s.isOk()) {
@@ -306,7 +302,7 @@ class SelfCheckingProver
                 auto t0 = AttemptClock::now();
                 StatusOr<Proof> r = proveWith(backend, pk, cs, z, rng);
                 Status s = r.status();
-                if (s.isOk() && opt_.selfCheck)
+                if (s.isOk())
                     s = selfCheckProof<Family>(pk, &vk, z, *r, verifier_);
                 double attempt_s =
                     std::chrono::duration<double>(AttemptClock::now() -
@@ -327,7 +323,6 @@ class SelfCheckingProver
                 // persistent ones keep firing and force demotion.
                 faultsim::advanceEpoch();
                 ++rep.epochsAdvanced;
-                backoff(attempt);
             }
         }
         return last.withContext(
@@ -363,17 +358,6 @@ class SelfCheckingProver
                 opt_.threads);
         }
         return internalError("prover.pipeline: unknown backend");
-    }
-
-    void
-    backoff(std::size_t attempt) const
-    {
-        if (opt_.backoffBase.count() <= 0)
-            return;
-        auto delay = opt_.backoffBase *
-            (std::int64_t(1) << std::min<std::size_t>(attempt, 16));
-        std::this_thread::sleep_for(std::min(
-            std::chrono::milliseconds(delay), opt_.backoffCap));
     }
 
     Options opt_;
@@ -431,8 +415,7 @@ preprocessWithResume(const msm::GzkpMsm<Cfg> &engine,
 template <typename Family>
 StatusOr<typename Groth16<Family>::MsmArtifacts>
 buildMsmArtifacts(const typename Groth16<Family>::ProvingKey &pk,
-                  std::size_t threads = 0,
-                  std::size_t max_attempts = 3)
+                  std::size_t threads = 0)
 {
     using G1Cfg = typename Family::G1Cfg;
     using G2Cfg = typename Family::G2Cfg;
@@ -444,15 +427,15 @@ buildMsmArtifacts(const typename Groth16<Family>::ProvingKey &pk,
     msm::GzkpMsm<G2Cfg> e2(o2);
     typename Groth16<Family>::MsmArtifacts art;
     GZKP_ASSIGN_OR_RETURN(
-        art.a, preprocessWithResume(e1, pk.aQuery, max_attempts));
+        art.a, preprocessWithResume(e1, pk.aQuery));
     GZKP_ASSIGN_OR_RETURN(
-        art.b2, preprocessWithResume(e2, pk.b2Query, max_attempts));
+        art.b2, preprocessWithResume(e2, pk.b2Query));
     GZKP_ASSIGN_OR_RETURN(
-        art.b1, preprocessWithResume(e1, pk.b1Query, max_attempts));
+        art.b1, preprocessWithResume(e1, pk.b1Query));
     GZKP_ASSIGN_OR_RETURN(
-        art.l, preprocessWithResume(e1, pk.lQuery, max_attempts));
+        art.l, preprocessWithResume(e1, pk.lQuery));
     GZKP_ASSIGN_OR_RETURN(
-        art.h, preprocessWithResume(e1, pk.hQuery, max_attempts));
+        art.h, preprocessWithResume(e1, pk.hQuery));
     return art;
 }
 

@@ -38,7 +38,6 @@ Prover::Options
 fastOptions()
 {
     Prover::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     return opt;
 }
@@ -326,7 +325,6 @@ std::unique_ptr<Service>
 makeChaosService(std::size_t max_batch = 1)
 {
     Service::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     opt.maxBatch = max_batch;
     return service::makeBn254ProofService(opt);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Multi-device scheduler suite (`ctest -L device`): the GZKP_DEVICES
+ * Multi-device scheduler suite (`ctest -L device`): the device
  * topology grammar, the seeded stage-cost model's device ranking,
  * pipelined placement (NTT of proof k+1 overlapping the MSM of proof
  * k), and the subsystem's acceptance gates:
@@ -63,14 +63,12 @@ fx()
     return f;
 }
 
-Scheduler::Options
-schedulerOptions(const std::string &topology)
+std::vector<device::DeviceSpec>
+devicesOf(const std::string &topology)
 {
-    Scheduler::Options opt;
     auto parsed = device::parseTopology(topology);
     EXPECT_TRUE(parsed.isOk()) << parsed.status().toString();
-    opt.devices = std::move(*parsed);
-    return opt;
+    return std::move(*parsed);
 }
 
 Scheduler::Job
@@ -91,7 +89,7 @@ proveOnTopology(const std::string &topology, std::size_t n,
                 Scheduler::Stats *statsOut = nullptr)
 {
     const DeviceFixture &f = fx();
-    Scheduler sched(schedulerOptions(topology), zkp::verifyBn254);
+    Scheduler sched(devicesOf(topology), zkp::verifyBn254);
     std::vector<std::future<Scheduler::Result>> futs;
     for (std::size_t i = 0; i < n; ++i) {
         auto fut = sched.submit(jobFor(f, deriveSeed(0xD00D, i)));
@@ -215,7 +213,7 @@ TEST(DeviceCostModel, ShapeOfReadsTheProvingKey)
 TEST(DeviceScheduler, SubmitValidatesJobs)
 {
     const DeviceFixture &f = fx();
-    Scheduler sched(schedulerOptions("cpu:1"));
+    Scheduler sched(devicesOf("cpu:1"));
 
     Scheduler::Job noKey;
     auto r1 = sched.submit(std::move(noKey));
@@ -293,7 +291,7 @@ TEST(DeviceScheduler, RecoversFromPolyBitFlip)
 {
     const DeviceFixture &f = fx();
     faultsim::ScopedFaultPlan plan("seed=7;bitflip@groth16.poly.h:1#1");
-    Scheduler sched(schedulerOptions("cpu:1"), zkp::verifyBn254);
+    Scheduler sched(devicesOf("cpu:1"), zkp::verifyBn254);
     auto fut = sched.submit(jobFor(f, deriveSeed(0xB17F, 0)));
     ASSERT_TRUE(fut.isOk()) << fut.status().toString();
     Scheduler::Result res = fut->get();
@@ -310,7 +308,7 @@ TEST(DeviceScheduler, PersistentDeviceFailureQuarantinesOnlyThatDevice)
     // Every launch on v100.0 fails; cpu.0/cpu.1 are healthy.
     faultsim::ScopedFaultPlan plan(
         "seed=11;launch@device.fail.v100.0:1");
-    Scheduler sched(schedulerOptions("v100:1,cpu:2"),
+    Scheduler sched(devicesOf("v100:1,cpu:2"),
                     zkp::verifyBn254);
     std::vector<std::future<Scheduler::Result>> futs;
     const std::size_t n = 8;
@@ -362,7 +360,7 @@ TEST(DeviceScheduler, SlowDeviceLosesWorkButCorruptsNothing)
     Scheduler::Stats st;
     std::vector<std::string> ref;
     {
-        Scheduler sched(schedulerOptions("v100:1,1080ti:1"),
+        Scheduler sched(devicesOf("v100:1,1080ti:1"),
                         zkp::verifyBn254);
         std::vector<std::future<Scheduler::Result>> futs;
         for (std::size_t i = 0; i < 4; ++i) {

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <future>
 #include <map>
 #include <string>
@@ -82,7 +83,6 @@ fastServiceOptions()
 {
     Service::Options opt;
     opt.threads = 2;
-    opt.maxAttemptsPerBackend = 2;
     return opt;
 }
 
@@ -140,7 +140,7 @@ TEST(ServiceBytes, MsmArtifactsBytesIsSumOfTables)
     EXPECT_FALSE(art.matches(fx().k2.pk));
 }
 
-// ------------------------------------------------ env budget parsing
+// ------------------------------------- cache-bytes spec, environment
 
 TEST(ServiceEnv, ParseCacheBytesSpec)
 {
@@ -156,14 +156,21 @@ TEST(ServiceEnv, ParseCacheBytesSpec)
     EXPECT_EQ(service::parseCacheBytesSpec("-1"), 0u);
 }
 
-TEST(ServiceEnv, DefaultCacheBytesOverride)
+/** The serving configuration comes from Options alone: variables that
+    look like settings must not reconfigure a default service. */
+TEST(ServiceEnv, DefaultsIgnoreEnvironment)
 {
-    service::setDefaultCacheBytes(12345);
-    EXPECT_EQ(service::defaultCacheBytes(), 12345u);
-    Cache cache; // budget 0 = default
-    EXPECT_EQ(cache.budgetBytes(), 12345u);
-    service::setDefaultCacheBytes(0); // back to env/default
-    EXPECT_EQ(service::defaultCacheBytes(), service::kDefaultCacheBytes);
+    ::setenv("GZKP_DEVICES", "cpu:1", 1);
+    ::setenv("GZKP_TENANT_WEIGHTS", "0:9", 1);
+    ::setenv("GZKP_CACHE_BYTES", "1k", 1);
+    Service svc;
+    Cache cache;
+    ::unsetenv("GZKP_DEVICES");
+    ::unsetenv("GZKP_TENANT_WEIGHTS");
+    ::unsetenv("GZKP_CACHE_BYTES");
+    EXPECT_FALSE(svc.stats().deviceScheduling);
+    EXPECT_EQ(svc.deviceScheduler(), nullptr);
+    EXPECT_EQ(cache.budgetBytes(), service::kDefaultCacheBytes);
 }
 
 // ------------------------------------------------------- content hash

@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <future>
 #include <string>
 #include <thread>
@@ -80,7 +79,6 @@ baseOptions()
 {
     Service::Options opt;
     opt.threads = 2;
-    opt.maxAttemptsPerBackend = 2;
     opt.cacheBytes = 64ull << 20;
     return opt;
 }
@@ -208,18 +206,6 @@ TEST(FairShareQueueTest, ParseTenantWeightsSpec)
         EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
             << bad;
     }
-}
-
-TEST(FairShareQueueTest, TenantWeightsFromEnv)
-{
-    ::setenv("GZKP_TENANT_WEIGHTS", "2:9,5:4", 1);
-    auto w = service::tenantWeightsFromEnv();
-    EXPECT_EQ(w[2], 9u);
-    EXPECT_EQ(w[5], 4u);
-    ::setenv("GZKP_TENANT_WEIGHTS", "garbage", 1);
-    EXPECT_TRUE(service::tenantWeightsFromEnv().empty());
-    ::unsetenv("GZKP_TENANT_WEIGHTS");
-    EXPECT_TRUE(service::tenantWeightsFromEnv().empty());
 }
 
 // ------------------------------------------------------ cost estimator

@@ -13,16 +13,17 @@
  * `circuits` tenants x `per-circuit` requests each, seeded arrival
  * order) through a BN254 ProofService and prints the service and
  * cache statistics. The request's tenant id is its circuit index, so
- * --tenant-weights (GZKP_TENANT_WEIGHTS syntax, e.g. "0:10,1:1")
- * skews the fair-share scheduler between circuits. --deadline-ms
+ * --tenant-weights (`tenant:weight` pairs, e.g. "0:10,1:1") skews
+ * the fair-share scheduler between circuits. --deadline-ms
  * attaches a deadline to every request (0 = none), which arms the
  * admission controller's shedding. --background runs the service's
  * own scheduler thread instead of draining inline; --verify
  * re-checks every released proof with the independent pairing
- * verifier. --cache-bytes takes the GZKP_CACHE_BYTES syntax (e.g.
- * 64m) and overrides the environment for this run. --devices takes
- * the GZKP_DEVICES topology syntax (e.g. "v100:2,1080ti:1,cpu:4t")
- * and routes every proof through the multi-device stage scheduler;
+ * verifier. --cache-bytes sets the service's artifact-cache budget
+ * (decimal bytes with an optional k/m/g suffix, e.g. 64m; default
+ * 256 MiB). --devices takes a topology spec (e.g.
+ * "v100:2,1080ti:1,cpu:4t", grammar in src/device/registry.hh) and
+ * routes every proof through the multi-device stage scheduler;
  * the end-of-run report then includes a per-device utilization
  * breakdown. GZKP_FAULTS is honored (like the fuzz driver), so a
  * seeded plan such as `launch@device.fail.v100.0:1` replays a
@@ -155,18 +156,16 @@ main(int argc, char **argv)
                      s.toString().c_str());
         return 2;
     }
+    Service::Options opt;
     if (!args.cacheBytes.empty()) {
-        std::uint64_t b =
+        opt.cacheBytes =
             service::parseCacheBytesSpec(args.cacheBytes.c_str());
-        if (b == 0) {
+        if (opt.cacheBytes == 0) {
             std::fprintf(stderr, "bad --cache-bytes spec: %s\n",
                          args.cacheBytes.c_str());
             return 2;
         }
-        service::setDefaultCacheBytes(b);
     }
-
-    Service::Options opt;
     opt.maxQueueDepth = args.queueDepth;
     opt.maxBatch = args.batch;
     opt.threads = args.threads;
