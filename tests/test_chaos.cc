@@ -14,7 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 
 #include "testkit/chaos.hh"
 #include "testkit/testkit.hh"
@@ -315,6 +318,56 @@ TEST(Chaos, ChaosSweep)
     EXPECT_GT(proofs, 0u);
     EXPECT_GT(errors, 0u);
     EXPECT_GT(demoted, 0u);
+}
+
+/**
+ * The plans each chaos sweep draws, pinned per seed: the sweeps below
+ * assert the invariant over exactly these plans, so a change to the
+ * generators that moves any of them shows up here by name. Each line
+ * of tests/golden/chaos_plans.golden is `<sweep> <seed> <plan>`; a
+ * mismatch prints the recomputed line.
+ */
+TEST(ChaosPlans, PinnedPerSeed)
+{
+    struct Sweep {
+        const char *name;
+        faultsim::FaultPlan (*plan)(std::uint64_t);
+        std::uint64_t lastSeed;
+    };
+    const Sweep sweeps[] = {
+        {"prover", testkit::randomFaultPlan, 240},
+        {"service", testkit::randomServiceFaultPlan, 40},
+        {"overload", testkit::randomOverloadFaultPlan, 44},
+        {"device", testkit::randomDeviceFaultPlan, 24},
+    };
+
+    const std::string path =
+        std::string(GZKP_GOLDEN_DIR) + "/chaos_plans.golden";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "cannot open " << path;
+    std::map<std::string, std::string> pinned; // "<sweep> <seed>" -> plan
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream ls(line);
+        std::string sweep, seed, plan;
+        ls >> sweep >> seed >> plan;
+        pinned[sweep + " " + seed] = plan;
+    }
+
+    std::size_t checked = 0;
+    for (const Sweep &s : sweeps) {
+        for (std::uint64_t seed = 1; seed <= s.lastSeed; ++seed) {
+            std::string key = s.name + (" " + std::to_string(seed));
+            std::string got = s.plan(seed).toString();
+            auto it = pinned.find(key);
+            EXPECT_TRUE(it != pinned.end() && it->second == got)
+                << "recomputed: " << key << " " << got;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(pinned.size(), checked) << "stale entries in " << path;
 }
 
 // ------------------------------------------------- serving layer chaos
