@@ -7,19 +7,22 @@
  *     states: a proof that verifies, or a typed non-OK gzkp::Status.
  *     Never an invalid proof, never a crash, never a hang.
  *
- * The harness generates random-but-reproducible plans over the real
- * probe-site vocabulary (so arms actually hit the pipeline rather
- * than matching nothing), runs the self-checking BN254 prover under
- * each, and classifies the outcome. tests/test_chaos.cc sweeps
- * hundreds of seeds through runChaosPlan() and asserts the invariant
- * on every one; the CI chaos job replays a slice of the same sweep
- * through the GZKP_FAULTS environment path.
+ * One generator, randomPlan(), draws random-but-reproducible plans
+ * over a sweep's site vocabulary (so arms actually hit the pipeline
+ * rather than matching nothing). runChaosPlan() runs the self-checking
+ * BN254 prover under a plan; runServiceChaosPlan() and
+ * runOverloadChaosPlan() run a whole ProofService. tests/test_chaos.cc
+ * sweeps seeded plans through each and asserts the invariant on every
+ * one; fuzz_driver --kind=fault (service-fault, overload-fault,
+ * device-fault) replays one plan by seed.
  */
 
 #ifndef GZKP_TESTKIT_CHAOS_HH
 #define GZKP_TESTKIT_CHAOS_HH
 
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -62,63 +65,152 @@ chaosFixture()
 }
 
 /**
- * Probe sites that exist in the pipeline, used to bias generated
- * arms toward plans that actually fire. "*" and a never-matching
- * site are included deliberately: the sweep must also cover
- * everything-fails and nothing-fires plans. "msm.bellperson" never
- * fires here (the prover ladder is GZKP -> serial; only benches and
- * differential tests run the bellperson baseline), so it is a second
- * nothing-fires site; it stays so the seeded sweep keeps drawing the
- * same plans.
+ * The vocabulary one chaos sweep draws its plans from. Each sweep has
+ * its own salt, so one seed draws a different plan in each sweep, and
+ * each site list extends the previous sweep's by appending, so adding
+ * a sweep never moves the plans an earlier one draws.
  */
-inline const std::vector<std::string> &
-chaosSites()
+struct PlanVocabulary {
+    /** Arms draw from deriveSeed(seed, salt); the plan's fire seed
+        is deriveSeed(seed, salt + 1). */
+    std::uint64_t salt = 0;
+    std::vector<std::string> sites; //!< probe sites an arm may target
+    /** Sites half of all arms target directly; empty = no bias. */
+    std::vector<std::string> bias{};
+    /** Arms on a device.* site get the kind its probe checks (mem is
+        an allocation probe, fail/slow are launch probes), so biased
+        arms really fire; the kind is then drawn after the site. */
+    bool deviceKinds = false;
+};
+
+namespace detail {
+
+inline std::vector<std::string>
+extendSites(std::vector<std::string> sites,
+            std::initializer_list<const char *> more)
 {
-    static const std::vector<std::string> sites = {
-        "*",
-        "msm.gzkp",
-        "msm.gzkp.bucket",
-        "msm.gzkp.preprocess",
-        "msm.gzkp.kernel",
-        "msm.serial",
-        "msm.bellperson",
-        "ntt.cpu",
-        "groth16.poly.h",
-        "msm",
-        "ntt",
-        "no.such.site",
-    };
+    sites.insert(sites.end(), more.begin(), more.end());
     return sites;
 }
 
+} // namespace detail
+
 /**
- * A seeded, reproducible fault plan: 0-3 arms over the real site
- * vocabulary with skewed periods (small periods = hard plans) and a
- * mix of limited (transient) and unlimited (persistent) arms.
- * Seed 0 mod 16 yields the empty plan, so the sweep keeps covering
- * the probes-never-touch-data path too.
+ * The prover sweep: probe sites that exist in the pipeline, so arms
+ * actually hit it rather than matching nothing. "*" and a
+ * never-matching site are included deliberately: the sweep must also
+ * cover everything-fails and nothing-fires plans. "msm.bellperson"
+ * never fires here (the prover ladder is GZKP -> serial; only benches
+ * and differential tests run the bellperson baseline), so it is a
+ * second nothing-fires site; it stays so the seeded sweep keeps
+ * drawing the same plans.
+ */
+inline const PlanVocabulary &
+proverPlans()
+{
+    static const PlanVocabulary v{
+        .salt = 0xFA,
+        .sites = {"*", "msm.gzkp", "msm.gzkp.bucket", "msm.gzkp.preprocess",
+                  "msm.gzkp.kernel", "msm.serial", "msm.bellperson",
+                  "ntt.cpu", "groth16.poly.h", "msm", "ntt",
+                  "no.such.site"}};
+    return v;
+}
+
+/** The service sweep: the serving layer's probe sites on top. */
+inline const PlanVocabulary &
+servicePlans()
+{
+    static const PlanVocabulary v{
+        .salt = 0x5FA,
+        .sites = detail::extendSites(
+            proverPlans().sites,
+            {"service.queue", "service.cache.build", "service.cache.table",
+             "service.cache", "service"})};
+    return v;
+}
+
+/**
+ * The overload sweep: the overload-control sites (spurious admission
+ * sheds, hedge-launch failures, a lying circuit breaker) on top, and
+ * half of all arms aimed at them.
+ */
+inline const PlanVocabulary &
+overloadPlans()
+{
+    static const PlanVocabulary v{
+        .salt = 0x0FA,
+        .sites = detail::extendSites(
+            servicePlans().sites,
+            {"service.shed", "service.hedge", "service.breaker"}),
+        .bias = {"service.shed", "service.hedge", "service.breaker"}};
+    return v;
+}
+
+/**
+ * The device sweep: the multi-device scheduler's sites on top, generic
+ * and aimed at one instance of kDeviceChaosTopology, and half of all
+ * arms aimed at them.
+ */
+inline const PlanVocabulary &
+devicePlans()
+{
+    static const PlanVocabulary v{
+        .salt = 0xDFA,
+        .sites = detail::extendSites(
+            overloadPlans().sites,
+            {"device.fail", "device.mem", "device.slow", "device",
+             "device.fail.v100.0", "device.slow.1080ti.0",
+             "device.mem.cpu.0"}),
+        .bias = {"device.fail", "device.mem", "device.slow",
+                 "device.fail.v100.0", "device.slow.1080ti.0",
+                 "device.mem.cpu.0"},
+        .deviceKinds = true};
+    return v;
+}
+
+/**
+ * A seeded, reproducible fault plan over `v`: 1-3 arms with skewed
+ * periods (small periods = hard plans) and a mix of limited
+ * (transient) and unlimited (persistent) arms. Seed 0 mod 16 yields
+ * the empty plan, so every sweep keeps covering the
+ * probes-never-touch-data path too.
  */
 inline faultsim::FaultPlan
-randomFaultPlan(std::uint64_t seed)
+randomPlan(const PlanVocabulary &v, std::uint64_t seed)
 {
-    Rng rng(deriveSeed(seed, 0xFA));
-    faultsim::FaultPlan plan;
-    plan.seed = deriveSeed(seed, 0xFB);
-    if (seed % 16 == 0)
-        return plan; // empty: probes must not perturb anything
-    std::size_t arms = 1 + rng() % 3;
     static const std::uint64_t periods[] = {1, 1, 2, 3, 5, 17, 64};
     static const std::uint64_t limits[] = {0, 0, 1, 1, 2, 5};
-    const auto &sites = chaosSites();
+    Rng rng(deriveSeed(seed, v.salt));
+    faultsim::FaultPlan plan;
+    plan.seed = deriveSeed(seed, v.salt + 1);
+    if (seed % 16 == 0)
+        return plan; // empty: probes must not perturb anything
+    auto drawKind = [&] {
+        return faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
+    };
+    auto drawSite = [&] {
+        if (!v.bias.empty() && rng() % 2 == 0)
+            return v.bias[rng() % v.bias.size()];
+        return v.sites[rng() % v.sites.size()];
+    };
+    std::size_t arms = 1 + rng() % 3;
     for (std::size_t i = 0; i < arms; ++i) {
         faultsim::FaultArm arm;
-        arm.kind =
-            faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
-        arm.site = sites[rng() % sites.size()];
-        arm.period = periods[rng() % (sizeof(periods) /
-                                      sizeof(periods[0]))];
-        arm.limit =
-            limits[rng() % (sizeof(limits) / sizeof(limits[0]))];
+        if (v.deviceKinds) {
+            arm.site = drawSite();
+            if (arm.site.rfind("device.mem", 0) == 0)
+                arm.kind = faultsim::FaultKind::Alloc;
+            else if (arm.site.rfind("device", 0) == 0)
+                arm.kind = faultsim::FaultKind::Launch;
+            else
+                arm.kind = drawKind();
+        } else {
+            arm.kind = drawKind();
+            arm.site = drawSite();
+        }
+        arm.period = periods[rng() % std::size(periods)];
+        arm.limit = limits[rng() % std::size(limits)];
         plan.arms.push_back(arm);
     }
     return plan;
@@ -131,7 +223,6 @@ struct ChaosOutcome {
         outcome the subsystem exists to make impossible. */
     bool releasedBadProof = false;
     Status status;          //!< the typed error otherwise
-    std::uint64_t fires = 0; //!< probe fires during the run
     zkp::SelfCheckingProver<zkp::Bn254Family>::Report report;
 
     /** The chaos invariant. */
@@ -164,7 +255,6 @@ runChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
     Rng rng(deriveSeed(seed, 0xFC));
     auto r = prover.prove(fx.keys.pk, fx.keys.vk, fx.builder.cs(),
                           fx.builder.assignment(), rng, &out.report);
-    out.fires = faultsim::firedCount();
     if (r.isOk()) {
         // Independent acceptance check: the pipeline must never
         // release a proof the *verifier* (which carries no probes)
@@ -185,135 +275,78 @@ runChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
 
 // ------------------------------------------------------ service chaos
 
-/**
- * The serving layer's probe sites plus the prover vocabulary. A
- * separate list (rather than extending chaosSites()) so the existing
- * prover sweep keeps generating the exact plans it always has for a
- * given seed.
- */
-inline const std::vector<std::string> &
-serviceChaosSites()
-{
-    static const std::vector<std::string> sites = [] {
-        std::vector<std::string> s = chaosSites();
-        s.push_back("service.queue");
-        s.push_back("service.cache.build");
-        s.push_back("service.cache.table");
-        s.push_back("service.cache");
-        s.push_back("service");
-        return s;
-    }();
-    return sites;
-}
-
-/**
- * The overload-control probe sites (PR 8) on top of the service
- * vocabulary: spurious admission sheds, hedge-launch failures and a
- * lying circuit breaker. Again a separate list so the existing
- * service sweep keeps its per-seed plans.
- */
-inline const std::vector<std::string> &
-overloadChaosSites()
-{
-    static const std::vector<std::string> sites = [] {
-        std::vector<std::string> s = serviceChaosSites();
-        s.push_back("service.shed");
-        s.push_back("service.hedge");
-        s.push_back("service.breaker");
-        return s;
-    }();
-    return sites;
-}
-
-/** randomFaultPlan() over the service site vocabulary. */
-inline faultsim::FaultPlan
-randomServiceFaultPlan(std::uint64_t seed)
-{
-    Rng rng(deriveSeed(seed, 0x5FA));
-    faultsim::FaultPlan plan;
-    plan.seed = deriveSeed(seed, 0x5FB);
-    if (seed % 16 == 0)
-        return plan;
-    std::size_t arms = 1 + rng() % 3;
-    static const std::uint64_t periods[] = {1, 1, 2, 3, 5, 17, 64};
-    static const std::uint64_t limits[] = {0, 0, 1, 1, 2, 5};
-    const auto &sites = serviceChaosSites();
-    for (std::size_t i = 0; i < arms; ++i) {
-        faultsim::FaultArm arm;
-        arm.kind =
-            faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
-        arm.site = sites[rng() % sites.size()];
-        arm.period = periods[rng() % (sizeof(periods) /
-                                      sizeof(periods[0]))];
-        arm.limit =
-            limits[rng() % (sizeof(limits) / sizeof(limits[0]))];
-        plan.arms.push_back(arm);
-    }
-    return plan;
-}
-
 /** What one service chaos run ended as, over all its requests. */
 struct ServiceChaosOutcome {
     std::size_t proofsOk = 0;     //!< released AND independently verified
     std::size_t typedErrors = 0;  //!< completed with a non-OK Status
     std::size_t rejectedAtQueue = 0; //!< submit() itself rejected
+    std::size_t hedged = 0;          //!< results with hedged set
     /** The one forbidden outcome (see ChaosOutcome). */
     bool releasedBadProof = false;
-    std::uint64_t fires = 0;
+    /** A delivered proof whose bytes differ from the fault-free
+        reference on a run where only routing sites could fire. */
+    bool byteMismatch = false;
 
     /** The chaos invariant, lifted to the whole request set. */
-    bool clean() const { return !releasedBadProof; }
+    bool clean() const { return !releasedBadProof && !byteMismatch; }
 };
 
+namespace detail {
+
+using ChaosService = service::ProofService<zkp::Bn254Family>;
+
 /**
- * Run a ProofService end to end under `plan`: register the chaos
- * circuit, submit `requests` seeded requests (the plan is live for
- * the whole run, so queue admission, the cache build under
+ * Run a ProofService built from `opt` end to end under the caller's
+ * fault plan: register the chaos circuit, submit `reqs` (the plan is
+ * live for the whole run, so queue admission, the cache build under
  * single-flight, the cached tables, and every proof attempt are all
  * in the blast radius), drain synchronously, and classify every
- * result. Released proofs are re-verified with the independent
- * pairing verifier, exactly as runChaosPlan() does.
+ * result into `out`. Released proofs are re-verified with the
+ * independent pairing verifier, exactly as runChaosPlan() does; with
+ * `refs` set, request i must also deliver exactly the bytes refs[i].
  */
-inline ServiceChaosOutcome
-runServiceChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
-                    std::size_t requests = 4)
+inline void
+driveChaosService(const ChaosService::Options &opt,
+                  std::vector<ChaosService::Request> reqs,
+                  const std::vector<std::string> *refs,
+                  ServiceChaosOutcome &out)
 {
-    using Service = service::ProofService<zkp::Bn254Family>;
     const ChaosFixture &fx = chaosFixture();
-    ServiceChaosOutcome out;
-
-    faultsim::ScopedFaultPlan guard(plan);
-    typename Service::Options opt;
-    opt.threads = 2;
-    opt.maxQueueDepth = requests;
-    opt.cacheBytes = 64ull << 20;
     auto svc = service::makeBn254ProofService(opt);
     auto cid = svc->registerCircuit(fx.keys.pk, fx.keys.vk,
                                     fx.builder.cs());
 
-    std::vector<std::future<typename Service::Result>> futures;
-    for (std::size_t i = 0; i < requests; ++i) {
-        typename Service::Request req;
-        req.circuit = cid;
-        req.witness = fx.builder.assignment();
-        req.seed = deriveSeed(seed, 0xFC00 + i);
-        auto admitted = svc->submit(std::move(req));
+    struct Slot {
+        std::future<ChaosService::Result> fut;
+        std::size_t idx;
+    };
+    std::vector<Slot> slots;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].circuit = cid;
+        auto admitted = svc->submit(std::move(reqs[i]));
         if (!admitted.isOk()) {
             ++out.rejectedAtQueue;
             continue;
         }
-        futures.push_back(std::move(*admitted));
+        slots.push_back(Slot{std::move(*admitted), i});
     }
     svc->drain();
 
-    for (auto &f : futures) {
-        typename Service::Result res = f.get();
+    for (Slot &s : slots) {
+        ChaosService::Result res = s.fut.get();
+        if (res.hedged)
+            ++out.hedged;
         if (res.status.isOk() && res.proof.has_value()) {
             if (zkp::verifyBn254(fx.keys.vk, *res.proof,
-                                 fx.publicInputs))
+                                 fx.publicInputs)) {
                 ++out.proofsOk;
-            else
+                if (refs != nullptr &&
+                    zkp::serializeProof<zkp::Bn254Family>(
+                        *res.proof) != (*refs)[s.idx])
+                    out.byteMismatch = true;
+            } else {
                 out.releasedBadProof = true;
+            }
         } else if (!res.status.isOk()) {
             ++out.typedErrors;
         } else {
@@ -321,7 +354,34 @@ runServiceChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
             out.releasedBadProof = true;
         }
     }
-    out.fires = faultsim::firedCount();
+}
+
+} // namespace detail
+
+/** Requests per service chaos run. */
+inline constexpr std::size_t kServiceChaosRequests = 4;
+
+/**
+ * Run a plain ProofService under `plan`: kServiceChaosRequests
+ * requests with per-seed prover seeds, no tenants or deadlines.
+ */
+inline ServiceChaosOutcome
+runServiceChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
+{
+    const ChaosFixture &fx = chaosFixture();
+    ServiceChaosOutcome out;
+
+    faultsim::ScopedFaultPlan guard(plan);
+    detail::ChaosService::Options opt;
+    opt.threads = 2;
+    opt.maxQueueDepth = kServiceChaosRequests;
+    opt.cacheBytes = 64ull << 20;
+    std::vector<detail::ChaosService::Request> reqs(kServiceChaosRequests);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].witness = fx.builder.assignment();
+        reqs[i].seed = deriveSeed(seed, 0xFC00 + i);
+    }
+    detail::driveChaosService(opt, std::move(reqs), nullptr, out);
     return out;
 }
 
@@ -359,268 +419,64 @@ overloadReferenceProofs()
 }
 
 /**
- * randomServiceFaultPlan() over the overload vocabulary, biased
- * toward the three new routing sites so the sweep spends most of its
- * seeds on shed/hedge/breaker interference.
- */
-inline faultsim::FaultPlan
-randomOverloadFaultPlan(std::uint64_t seed)
-{
-    Rng rng(deriveSeed(seed, 0x0FA));
-    faultsim::FaultPlan plan;
-    plan.seed = deriveSeed(seed, 0x0FB);
-    if (seed % 16 == 0)
-        return plan;
-    static const std::vector<std::string> bias = {
-        "service.shed", "service.hedge", "service.breaker"};
-    std::size_t arms = 1 + rng() % 3;
-    static const std::uint64_t periods[] = {1, 1, 2, 3, 5, 17, 64};
-    static const std::uint64_t limits[] = {0, 0, 1, 1, 2, 5};
-    const auto &sites = overloadChaosSites();
-    for (std::size_t i = 0; i < arms; ++i) {
-        faultsim::FaultArm arm;
-        arm.kind =
-            faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
-        // 50% of arms target the new routing sites directly.
-        arm.site = rng() % 2 == 0 ? bias[rng() % bias.size()]
-                                  : sites[rng() % sites.size()];
-        arm.period = periods[rng() % (sizeof(periods) /
-                                      sizeof(periods[0]))];
-        arm.limit =
-            limits[rng() % (sizeof(limits) / sizeof(limits[0]))];
-        plan.arms.push_back(arm);
-    }
-    return plan;
-}
-
-/** What one overload chaos run ended as, over all its requests. */
-struct OverloadChaosOutcome {
-    std::size_t proofsOk = 0;
-    std::size_t typedErrors = 0;    //!< futures with a non-OK Status
-    std::size_t rejectedAtQueue = 0; //!< submit() itself rejected
-    std::size_t hedged = 0;          //!< results with hedged set
-    bool releasedBadProof = false;
-    /** A delivered proof whose bytes differ from the fault-free
-        reference on a run where only routing sites could fire. */
-    bool byteMismatch = false;
-    std::uint64_t fires = 0;
-
-    bool clean() const { return !releasedBadProof && !byteMismatch; }
-};
-
-/**
- * Run a ProofService with the full overload stack live -- fair-share
- * tenants with skewed weights, mixed deadlines (none / generous /
- * hopeless), deadline admission, health tracking and (on even seeds)
- * forced hedging -- under `plan`, and classify every outcome. The
- * invariant is the PR-3 one lifted again: a valid proof or a clean
- * typed error, never a bad proof. On plans whose arms touch only
- * routing sites (shed/hedge/breaker/queue: they steer requests but
- * never perturb a prover attempt's rng), delivered bytes must equal
- * the fault-free reference -- hedged winners included.
- */
-inline OverloadChaosOutcome
-runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
-{
-    using Service = service::ProofService<zkp::Bn254Family>;
-    const ChaosFixture &fx = chaosFixture();
-    const auto &refs = overloadReferenceProofs(); // before the guard
-    OverloadChaosOutcome out;
-
-    bool routingOnly = true;
-    for (const auto &arm : plan.arms) {
-        if (arm.site != "service.shed" && arm.site != "service.hedge" &&
-            arm.site != "service.breaker" &&
-            arm.site != "service.queue")
-            routingOnly = false;
-    }
-
-    faultsim::ScopedFaultPlan guard(plan);
-    typename Service::Options opt;
-    opt.threads = 2;
-    opt.maxQueueDepth = kOverloadChaosRequests;
-    opt.cacheBytes = 64ull << 20;
-    opt.forceHedge = seed % 2 == 0;
-    opt.tenantWeights = {{0, 4}, {1, 1}, {2, 1}};
-    auto svc = service::makeBn254ProofService(opt);
-    auto cid = svc->registerCircuit(fx.keys.pk, fx.keys.vk,
-                                    fx.builder.cs());
-
-    struct Slot {
-        std::future<typename Service::Result> fut;
-        std::size_t idx;
-    };
-    std::vector<Slot> slots;
-    for (std::size_t i = 0; i < kOverloadChaosRequests; ++i) {
-        typename Service::Request req;
-        req.circuit = cid;
-        req.witness = fx.builder.assignment();
-        req.seed = deriveSeed(0xB17E, i); // fixed: matches refs
-        req.tenant = i % 3;
-        req.priority = int(i % 2);
-        switch ((seed + i) % 4) {
-        case 1: req.timeout = std::chrono::milliseconds(5000); break;
-        case 2: req.timeout = std::chrono::milliseconds(1); break;
-        default: break; // no deadline
-        }
-        auto admitted = svc->submit(std::move(req));
-        if (!admitted.isOk()) {
-            ++out.rejectedAtQueue;
-            continue;
-        }
-        slots.push_back(Slot{std::move(*admitted), i});
-    }
-    svc->drain();
-
-    for (Slot &s : slots) {
-        typename Service::Result res = s.fut.get();
-        if (res.hedged)
-            ++out.hedged;
-        if (res.status.isOk() && res.proof.has_value()) {
-            if (zkp::verifyBn254(fx.keys.vk, *res.proof,
-                                 fx.publicInputs)) {
-                ++out.proofsOk;
-                if (routingOnly &&
-                    zkp::serializeProof<zkp::Bn254Family>(
-                        *res.proof) != refs[s.idx])
-                    out.byteMismatch = true;
-            } else {
-                out.releasedBadProof = true;
-            }
-        } else if (!res.status.isOk()) {
-            ++out.typedErrors;
-        } else {
-            out.releasedBadProof = true;
-        }
-    }
-    out.fires = faultsim::firedCount();
-    return out;
-}
-
-// ------------------------------------------------------- device chaos
-
-/**
  * The fixed heterogeneous topology of the device chaos sweep: one
  * V100-geometry GPU, one 1080 Ti-geometry GPU, two single-thread CPU
  * workers -- instance names v100.0, 1080ti.0, cpu.0, cpu.1, which is
- * what the per-instance fault sites below target.
+ * what the per-instance sites in devicePlans() target.
  */
 inline constexpr const char *kDeviceChaosTopology =
     "v100:1,1080ti:1,cpu:2";
 
 /**
- * The multi-device scheduler's probe sites on top of the overload
- * vocabulary. Separate list again: earlier sweeps keep their
- * per-seed plans.
+ * Sites that steer requests or time stages but never perturb a prover
+ * attempt's rng: shed/hedge/breaker/queue, and every device.* site (a
+ * failed stage is recomputed bit-identically on a re-placed device).
  */
-inline const std::vector<std::string> &
-deviceChaosSites()
+inline bool
+isRoutingSite(const std::string &site)
 {
-    static const std::vector<std::string> sites = [] {
-        std::vector<std::string> s = overloadChaosSites();
-        s.push_back("device.fail");
-        s.push_back("device.mem");
-        s.push_back("device.slow");
-        s.push_back("device");
-        s.push_back("device.fail.v100.0");
-        s.push_back("device.slow.1080ti.0");
-        s.push_back("device.mem.cpu.0");
-        return s;
-    }();
-    return sites;
+    return site == "service.shed" || site == "service.hedge" ||
+        site == "service.breaker" || site == "service.queue" ||
+        site.rfind("device", 0) == 0;
 }
 
 /**
- * randomOverloadFaultPlan() over the device vocabulary, biased
- * toward the per-device sites. Arms landing on a device site get
- * the kind its probes actually check (mem is an allocation probe,
- * fail/slow are launch probes), so biased arms really fire.
+ * Run a ProofService with the full overload stack live -- fair-share
+ * tenants with skewed weights, mixed deadlines (none / generous /
+ * hopeless), deadline admission, health tracking and (on even seeds)
+ * forced hedging -- under `plan`, and classify every outcome.
+ * `topology` is a device spec for the multi-device scheduler
+ * (placement, pipelining, per-device breakers, inline stage retries;
+ * forced hedging applies only to the single-lane path); empty means
+ * single-lane. The invariant is the chaos one: a valid proof or a
+ * clean typed error, never a bad proof. On plans whose arms all touch
+ * routing sites, delivered bytes must equal the fault-free
+ * single-lane reference -- hedged winners and re-placed stages
+ * included.
  */
-inline faultsim::FaultPlan
-randomDeviceFaultPlan(std::uint64_t seed)
+inline ServiceChaosOutcome
+runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
+                     const std::string &topology)
 {
-    Rng rng(deriveSeed(seed, 0xDFA));
-    faultsim::FaultPlan plan;
-    plan.seed = deriveSeed(seed, 0xDFB);
-    if (seed % 16 == 0)
-        return plan;
-    static const std::vector<std::string> bias = {
-        "device.fail",        "device.mem",
-        "device.slow",        "device.fail.v100.0",
-        "device.slow.1080ti.0", "device.mem.cpu.0"};
-    std::size_t arms = 1 + rng() % 3;
-    static const std::uint64_t periods[] = {1, 1, 2, 3, 5, 17, 64};
-    static const std::uint64_t limits[] = {0, 0, 1, 1, 2, 5};
-    const auto &sites = deviceChaosSites();
-    for (std::size_t i = 0; i < arms; ++i) {
-        faultsim::FaultArm arm;
-        // 50% of arms target the device sites directly.
-        arm.site = rng() % 2 == 0 ? bias[rng() % bias.size()]
-                                  : sites[rng() % sites.size()];
-        if (arm.site.rfind("device.mem", 0) == 0)
-            arm.kind = faultsim::FaultKind::Alloc;
-        else if (arm.site.rfind("device", 0) == 0)
-            arm.kind = faultsim::FaultKind::Launch;
-        else
-            arm.kind =
-                faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
-        arm.period = periods[rng() % (sizeof(periods) /
-                                      sizeof(periods[0]))];
-        arm.limit =
-            limits[rng() % (sizeof(limits) / sizeof(limits[0]))];
-        plan.arms.push_back(arm);
-    }
-    return plan;
-}
-
-/**
- * Run a ProofService on the fixed heterogeneous topology under
- * `plan`: the full device scheduler is live (placement, pipelining,
- * per-device breakers, inline stage retries), plus the usual tenant
- * and deadline mix. Invariant: valid proof or clean typed error,
- * never a bad proof. Every device.* site is routing/timing-only --
- * a failed stage is recomputed bit-identically on a re-placed device
- * -- so plans whose arms touch only device and routing sites must
- * deliver bytes equal to the fault-free single-lane reference.
- */
-inline OverloadChaosOutcome
-runDeviceChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
-{
-    using Service = service::ProofService<zkp::Bn254Family>;
     const ChaosFixture &fx = chaosFixture();
     const auto &refs = overloadReferenceProofs(); // before the guard
-    OverloadChaosOutcome out;
+    ServiceChaosOutcome out;
 
     bool routingOnly = true;
-    for (const auto &arm : plan.arms) {
-        bool routing = arm.site == "service.shed" ||
-            arm.site == "service.hedge" ||
-            arm.site == "service.breaker" ||
-            arm.site == "service.queue" ||
-            arm.site.rfind("device", 0) == 0;
-        if (!routing)
-            routingOnly = false;
-    }
+    for (const auto &arm : plan.arms)
+        routingOnly = routingOnly && isRoutingSite(arm.site);
 
     faultsim::ScopedFaultPlan guard(plan);
-    typename Service::Options opt;
+    detail::ChaosService::Options opt;
     opt.threads = 2;
     opt.maxQueueDepth = kOverloadChaosRequests;
     opt.cacheBytes = 64ull << 20;
-    opt.deviceSpec = kDeviceChaosTopology;
+    opt.forceHedge = seed % 2 == 0;
     opt.tenantWeights = {{0, 4}, {1, 1}, {2, 1}};
-    auto svc = service::makeBn254ProofService(opt);
-    auto cid = svc->registerCircuit(fx.keys.pk, fx.keys.vk,
-                                    fx.builder.cs());
-
-    struct Slot {
-        std::future<typename Service::Result> fut;
-        std::size_t idx;
-    };
-    std::vector<Slot> slots;
-    for (std::size_t i = 0; i < kOverloadChaosRequests; ++i) {
-        typename Service::Request req;
-        req.circuit = cid;
+    opt.deviceSpec = topology;
+    std::vector<detail::ChaosService::Request> reqs(kOverloadChaosRequests);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        auto &req = reqs[i];
         req.witness = fx.builder.assignment();
         req.seed = deriveSeed(0xB17E, i); // fixed: matches refs
         req.tenant = i % 3;
@@ -630,35 +486,9 @@ runDeviceChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
         case 2: req.timeout = std::chrono::milliseconds(1); break;
         default: break; // no deadline
         }
-        auto admitted = svc->submit(std::move(req));
-        if (!admitted.isOk()) {
-            ++out.rejectedAtQueue;
-            continue;
-        }
-        slots.push_back(Slot{std::move(*admitted), i});
     }
-    svc->drain();
-
-    for (Slot &s : slots) {
-        typename Service::Result res = s.fut.get();
-        if (res.status.isOk() && res.proof.has_value()) {
-            if (zkp::verifyBn254(fx.keys.vk, *res.proof,
-                                 fx.publicInputs)) {
-                ++out.proofsOk;
-                if (routingOnly &&
-                    zkp::serializeProof<zkp::Bn254Family>(
-                        *res.proof) != refs[s.idx])
-                    out.byteMismatch = true;
-            } else {
-                out.releasedBadProof = true;
-            }
-        } else if (!res.status.isOk()) {
-            ++out.typedErrors;
-        } else {
-            out.releasedBadProof = true;
-        }
-    }
-    out.fires = faultsim::firedCount();
+    detail::driveChaosService(opt, std::move(reqs),
+                              routingOnly ? &refs : nullptr, out);
     return out;
 }
 

@@ -2,44 +2,43 @@
  * @file
  * The deterministic differential-fuzzing loop.
  *
- * One fuzz iteration derives a sub-seed, generates a biased instance,
- * and runs a differential registry over it:
+ * Every fuzz target is one row of fuzzTargets(): kind name, cadence
+ * in the mixed sweep, seed salt, size rule, and run(seed, size, mix,
+ * failures). The oracles behind the rows:
  *
- *  - MSM: serial Pippenger (two windows), Straus, bellperson-like,
- *    and GZKP (Horner and PerPoint checkpoint modes) against the
- *    naive PMUL-sum oracle, on BN254 G1;
- *  - NTT: shuffled (BG-like), GZKP shuffle-less (two block shapes),
- *    and batched execution against the canonical radix-2 flow, plus
- *    forward/inverse round-trips against the identity;
- *  - Groth16: end-to-end setup/prove/verify on random small circuits,
- *    including negative soundness checks (a proof built from a
- *    mutated witness, or a tampered proof, must be rejected), and
- *    cross-thread-count proof determinism (identical proof bytes at
- *    runtime threads 1/2/4/8);
- *  - gpusim: the accounting invariants of every variant's reported
- *    KernelStats (see gpusim::invariantViolations), so the perf
- *    model is fuzzed as a checked contract too;
- *  - fault: seeded chaos plans (testkit/chaos.hh) driven through the
- *    self-checking prover pipeline; every run must end in a verifying
- *    proof or a typed gzkp::Status -- never a bad proof;
- *  - ffdispatch: random field-op programs (batch mul/sqr/mulc/add/
- *    sub/pow/inverse over ff/fp.hh entry points) replayed under every
- *    compiled SIMD ISA arm; results must be limb-identical to the
- *    portable arm, pinning the field core's bit-identity invariant.
+ *  - msm, batchaffine: every MSM engine (serial Pippenger, Straus,
+ *    bellperson-like, GZKP in both checkpoint modes, each accumulator
+ *    and GLV setting) against the naive PMUL-sum, on BN254 G1;
+ *  - ntt, ntt-roundtrip: shuffled (BG-like), GZKP shuffle-less and
+ *    batched NTTs against the canonical radix-2 flow, and
+ *    forward/inverse pairs against the identity;
+ *  - gpusim: the accounting invariants of every variant's KernelStats,
+ *    so the perf model is fuzzed as a checked contract too;
+ *  - groth16, proofdet: end-to-end prove/verify with negative
+ *    soundness checks, and identical proof bytes at threads 1/2/4/8;
+ *  - fault, service-fault, overload-fault, device-fault, workload: a
+ *    seeded chaos plan (testkit/chaos.hh) or a random Poseidon Merkle
+ *    circuit through the self-checking prover or a whole ProofService;
+ *    every run ends in a verifying proof or a typed Status;
+ *  - ffdispatch: random field-op programs under every compiled SIMD
+ *    arm, limb-identical to the portable arm.
  *
- * On divergence the failing instance is greedily shrunk and the
- * report carries a self-contained repro line (--seed=S --size=N
- * --kind=K) that replays from the fuzz_driver CLI.
+ * The sweep, the replay, `--only` and the repro line are written once
+ * against the table, so a failure's repro line (--seed=S [--size=N]
+ * --kind=K[:mix]) replays exactly the row and instance that failed.
  */
 
 #ifndef GZKP_TESTKIT_FUZZ_HH
 #define GZKP_TESTKIT_FUZZ_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ec/curves.hh"
@@ -63,27 +62,11 @@
 
 namespace gzkp::testkit {
 
-struct FuzzOptions {
-    std::uint64_t seed = 1;
-    std::uint64_t iterations = 100;
-    double maxSeconds = 0;      //!< 0 = no time bound
-    std::size_t maxMsmSize = 40;
-    std::size_t maxNttLog = 7;
-    bool msm = true;
-    bool ntt = true;
-    bool groth16 = true;
-    bool gpusim = true;
-    bool fault = true;
-    bool workload = true;
-    bool ffdispatch = true;
-    std::uint64_t groth16Every = 40; //!< proofs are expensive
-    std::uint64_t faultEvery = 16;   //!< chaos runs prove repeatedly
-    std::uint64_t workloadEvery = 64; //!< full Merkle prove per hit
-    bool verbose = false;
-};
+/** What one fuzz instance found wrong; empty = it passed. */
+using FuzzFailures = std::vector<std::string>;
 
 struct FuzzFailure {
-    std::string target; //!< "msm", "ntt", "groth16", "gpusim"
+    std::string target; //!< the row's kind
     std::string repro;  //!< replayable CLI fragment
     std::string detail; //!< variant + shrunk-instance description
 };
@@ -95,22 +78,35 @@ struct FuzzReport {
     bool ok() const { return failures.empty(); }
 };
 
-/** The self-contained repro fragment for one generated instance. */
-inline std::string
-reproLine(std::uint64_t seed, std::size_t size, ScalarMix kind)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=" << size << " --kind="
-       << name(kind);
-    return os.str();
-}
-
 // ---------------------------------------------------------------- MSM
 
 using MsmCfg = ec::Bn254G1Cfg;
 using MsmIn = MsmInstance<MsmCfg>;
 using MsmOut = ec::ECPoint<MsmCfg>;
 using MsmDifferential = Differential<MsmIn, MsmOut>;
+
+namespace detail {
+
+/** A GZKP MSM variant at window k = 8 and checkpoint interval m. */
+inline std::function<MsmOut(const MsmIn &)>
+gzkpVariant(std::size_t threads, std::size_t m,
+            msm::CheckpointMode mode = msm::CheckpointMode::Horner,
+            msm::Accumulator acc = msm::Accumulator::Auto,
+            msm::GlvMode glv = msm::GlvMode::Auto)
+{
+    typename msm::GzkpMsm<MsmCfg>::Options o;
+    o.k = 8;
+    o.checkpointM = m;
+    o.mode = mode;
+    o.threads = threads;
+    o.accumulator = acc;
+    o.glv = glv;
+    return [o](const MsmIn &in) {
+        return msm::GzkpMsm<MsmCfg>(o).run(in.points, in.scalars);
+    };
+}
+
+} // namespace detail
 
 /**
  * The full MSM registry: every production variant against the naive
@@ -153,60 +149,14 @@ msmDifferential(std::size_t threads = 0)
         return BellpersonMsm<MsmCfg>(9, 3, threads)
             .run(in.points, in.scalars);
     });
-    d.add("gzkp-horner-m2", [threads](const MsmIn &in) {
-        typename GzkpMsm<MsmCfg>::Options o;
-        o.k = 8;
-        o.checkpointM = 2;
-        o.threads = threads;
-        return GzkpMsm<MsmCfg>(o).run(in.points, in.scalars);
-    });
-    d.add("gzkp-horner-m2-jacobian", [threads](const MsmIn &in) {
-        typename GzkpMsm<MsmCfg>::Options o;
-        o.k = 8;
-        o.checkpointM = 2;
-        o.threads = threads;
-        o.accumulator = Accumulator::Jacobian;
-        o.glv = GlvMode::Off;
-        return GzkpMsm<MsmCfg>(o).run(in.points, in.scalars);
-    });
-    d.add("gzkp-horner-m5", [threads](const MsmIn &in) {
-        typename GzkpMsm<MsmCfg>::Options o;
-        o.k = 8;
-        o.checkpointM = 5;
-        o.threads = threads;
-        return GzkpMsm<MsmCfg>(o).run(in.points, in.scalars);
-    });
-    d.add("gzkp-perpoint-m3", [threads](const MsmIn &in) {
-        typename GzkpMsm<MsmCfg>::Options o;
-        o.k = 8;
-        o.checkpointM = 3;
-        o.mode = CheckpointMode::PerPoint;
-        o.threads = threads;
-        return GzkpMsm<MsmCfg>(o).run(in.points, in.scalars);
-    });
+    d.add("gzkp-horner-m2", detail::gzkpVariant(threads, 2));
+    d.add("gzkp-horner-m2-jacobian",
+          detail::gzkpVariant(threads, 2, CheckpointMode::Horner,
+                              Accumulator::Jacobian, GlvMode::Off));
+    d.add("gzkp-horner-m5", detail::gzkpVariant(threads, 5));
+    d.add("gzkp-perpoint-m3",
+          detail::gzkpVariant(threads, 3, CheckpointMode::PerPoint));
     return d;
-}
-
-/**
- * Run one MSM differential + shrink-on-failure. Exposed so tests can
- * replay specific instances and inject broken variants (pass a
- * custom differential).
- */
-inline void
-fuzzMsmInstance(const MsmDifferential &d, std::uint64_t seed,
-                std::size_t size, ScalarMix kind, FuzzReport &rep)
-{
-    auto in = msmInstance<MsmCfg>(size, kind, seed);
-    auto div = d.run(in);
-    if (!div)
-        return;
-    auto shrunk = shrinkMsm<MsmCfg>(
-        in, [&](const MsmIn &cand) { return d.run(cand).has_value(); });
-    std::ostringstream detail;
-    detail << div->variant << ": " << div->detail << "; shrunk to n="
-           << shrunk.size();
-    rep.failures.push_back(
-        {"msm", reproLine(seed, size, kind), detail.str()});
 }
 
 /**
@@ -243,15 +193,8 @@ batchAffineDifferential(std::size_t threads = 0)
                       .run(in.points, in.scalars);
               });
         d.add(std::string("gzkp-horner-m2-") + c.tag,
-              [threads, c](const MsmIn &in) {
-                  typename GzkpMsm<MsmCfg>::Options o;
-                  o.k = 8;
-                  o.checkpointM = 2;
-                  o.threads = threads;
-                  o.accumulator = c.acc;
-                  o.glv = c.glv;
-                  return GzkpMsm<MsmCfg>(o).run(in.points, in.scalars);
-              });
+              detail::gzkpVariant(threads, 2, CheckpointMode::Horner,
+                                  c.acc, c.glv));
     }
     d.add("bellperson-jac", [threads](const MsmIn &in) {
         return BellpersonMsm<MsmCfg>(9, 3, threads)
@@ -260,22 +203,15 @@ batchAffineDifferential(std::size_t threads = 0)
     return d;
 }
 
-/** Repro fragment for a batch-affine differential instance. */
-inline std::string
-batchAffineRepro(std::uint64_t seed, std::size_t size)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=" << size
-       << " --kind=batchaffine";
-    return os.str();
-}
-
-/** One batch-affine cross-product differential + shrink-on-failure. */
+/**
+ * Run one MSM differential + shrink-on-failure. Exposed so tests can
+ * replay specific instances and inject broken variants (pass a
+ * custom differential).
+ */
 inline void
-fuzzBatchAffineInstance(std::uint64_t seed, std::size_t size,
-                        ScalarMix kind, FuzzReport &rep)
+fuzzMsmInstance(const MsmDifferential &d, std::uint64_t seed,
+                std::size_t size, ScalarMix kind, FuzzFailures &out)
 {
-    static const MsmDifferential d = batchAffineDifferential();
     auto in = msmInstance<MsmCfg>(size, kind, seed);
     auto div = d.run(in);
     if (!div)
@@ -285,13 +221,15 @@ fuzzBatchAffineInstance(std::uint64_t seed, std::size_t size,
     std::ostringstream detail;
     detail << div->variant << ": " << div->detail << "; shrunk to n="
            << shrunk.size();
-    rep.failures.push_back(
-        {"batchaffine", batchAffineRepro(seed, size), detail.str()});
+    out.push_back(detail.str());
 }
 
 // ---------------------------------------------------------------- NTT
 
 using NttFr = ff::Bn254Fr;
+
+/** Largest NTT domain (log2) the mixed sweep draws. */
+inline constexpr std::size_t kMaxNttLog = 7;
 
 struct NttInput {
     std::size_t logN = 0;
@@ -386,24 +324,14 @@ nttRoundTripDifferential()
     return d;
 }
 
-inline NttInput
-nttInput(std::size_t log_n, ScalarMix kind, bool invert,
-         std::uint64_t seed)
-{
-    Rng rng(seed);
-    NttInput in;
-    in.logN = log_n;
-    in.invert = invert;
-    in.data = scalarVector<NttFr>(std::size_t(1) << log_n, kind, rng);
-    return in;
-}
-
 inline void
 fuzzNttInstance(const NttDifferential &d, std::uint64_t seed,
                 std::size_t log_n, ScalarMix kind, bool invert,
-                FuzzReport &rep)
+                FuzzFailures &out)
 {
-    auto in = nttInput(log_n, kind, invert, seed);
+    Rng rng(seed);
+    NttInput in{log_n, invert,
+                scalarVector<NttFr>(std::size_t(1) << log_n, kind, rng)};
     auto div = d.run(in);
     if (!div)
         return;
@@ -433,9 +361,7 @@ fuzzNttInstance(const NttDifferential &d, std::uint64_t seed,
     detail << div->variant << ": " << div->detail
            << "; shrunk to 2^" << in.logN
            << (in.invert ? " (inverse)" : " (forward)");
-    rep.failures.push_back(
-        {"ntt", reproLine(seed, std::size_t(1) << log_n, kind),
-         detail.str()});
+    out.push_back(detail.str());
 }
 
 // ------------------------------------------------------------ Groth16
@@ -447,22 +373,16 @@ fuzzNttInstance(const NttDifferential &d, std::uint64_t seed,
  * round-trip.
  */
 inline void
-fuzzGroth16Instance(std::uint64_t seed, FuzzReport &rep)
+fuzzGroth16(std::uint64_t seed, std::size_t, ScalarMix,
+            FuzzFailures &out)
 {
     using Family = zkp::Bn254Family;
     using G16 = zkp::Groth16<Family>;
     using Fr = ff::Bn254Fr;
 
-    auto fail = [&](const std::string &what) {
-        rep.failures.push_back(
-            {"groth16",
-             reproLine(seed, 0, ScalarMix::Adversarial),
-             what});
-    };
-
     auto b = randomCircuit<Fr>(seed);
     if (!b.cs().isSatisfied(b.assignment())) {
-        fail("generated circuit is unsatisfied (generator bug)");
+        out.push_back("generated circuit is unsatisfied (generator bug)");
         return;
     }
 
@@ -477,9 +397,9 @@ fuzzGroth16Instance(std::uint64_t seed, FuzzReport &rep)
 
     if (!G16::verifyWithTrapdoor(keys, b.cs(), b.assignment(), proof,
                                  aux))
-        fail("honest proof rejected by trapdoor verifier");
+        out.push_back("honest proof rejected by trapdoor verifier");
     if (!zkp::verifyBn254(keys.vk, proof, pub))
-        fail("honest proof rejected by pairing verifier");
+        out.push_back("honest proof rejected by pairing verifier");
 
     // Negative: prove with a mutated witness (no longer satisfying).
     auto z_bad = b.assignment();
@@ -491,7 +411,7 @@ fuzzGroth16Instance(std::uint64_t seed, FuzzReport &rep)
             auto bad =
                 G16::prove(keys.pk, b.cs(), z_bad, rng, nullptr);
             if (zkp::verifyBn254(keys.vk, bad, pub))
-                fail("mutated-witness proof accepted by verifier");
+                out.push_back("mutated-witness proof accepted by verifier");
         }
     }
 
@@ -501,31 +421,22 @@ fuzzGroth16Instance(std::uint64_t seed, FuzzReport &rep)
     auto t1 = proof;
     t1.a = (G1::fromAffine(t1.a) + G1::generator()).toAffine();
     if (zkp::verifyBn254(keys.vk, t1, pub))
-        fail("proof with tampered A accepted");
+        out.push_back("proof with tampered A accepted");
     auto t2 = proof;
     t2.b = (G2::fromAffine(t2.b) + G2::generator()).toAffine();
     if (zkp::verifyBn254(keys.vk, t2, pub))
-        fail("proof with tampered B accepted");
+        out.push_back("proof with tampered B accepted");
     auto t3 = proof;
     t3.c = (G1::fromAffine(t3.c) + G1::generator()).toAffine();
     if (zkp::verifyBn254(keys.vk, t3, pub))
-        fail("proof with tampered C accepted");
+        out.push_back("proof with tampered C accepted");
 
     // Serialization round-trip preserves validity.
     auto text = zkp::serializeProof<Family>(proof);
     auto back = zkp::deserializeProof<Family>(text);
     if (!(back.a == proof.a && back.b == proof.b &&
           back.c == proof.c))
-        fail("proof serialization round-trip changed the proof");
-}
-
-/** Repro fragment for a proof-determinism instance (size unused). */
-inline std::string
-proofDeterminismRepro(std::uint64_t seed)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=0 --kind=proofdet";
-    return os.str();
+        out.push_back("proof serialization round-trip changed the proof");
 }
 
 /**
@@ -536,7 +447,8 @@ proofDeterminismRepro(std::uint64_t seed)
  * anywhere in the parallel NTT/MSM stack changes the proof points.
  */
 inline void
-fuzzProofDeterminism(std::uint64_t seed, FuzzReport &rep)
+fuzzProofDeterminism(std::uint64_t seed, std::size_t, ScalarMix,
+                     FuzzFailures &out)
 {
     using Family = zkp::Bn254Family;
     using G16 = zkp::Groth16<Family>;
@@ -557,61 +469,47 @@ fuzzProofDeterminism(std::uint64_t seed, FuzzReport &rep)
         if (t == 1) {
             base = text;
         } else if (text != base) {
-            std::ostringstream detail;
-            detail << "proof bytes diverge between threads=1 and"
-                   << " threads=" << t;
-            rep.failures.push_back({"groth16-determinism",
-                                    proofDeterminismRepro(seed),
-                                    detail.str()});
+            out.push_back("proof bytes diverge between threads=1 and "
+                          "threads=" + std::to_string(t));
             return;
         }
     }
 }
 
-// -------------------------------------------------------------- fault
-
-/** Repro fragment for a chaos instance (size unused). */
-inline std::string
-faultRepro(std::uint64_t seed)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=0 --kind=fault";
-    return os.str();
-}
+// -------------------------------------------------------------- chaos
 
 /**
- * One chaos iteration: generate a seeded fault plan, run the
- * self-checking prover under it, and assert the chaos invariant --
- * the run ends in a verifying proof or a typed error, and the
- * pipeline never releases a proof the verifier rejects.
+ * One prover chaos iteration: generate the prover sweep's plan for
+ * this seed, run the self-checking prover under it, and assert the
+ * chaos invariant -- the run ends in a verifying proof or a typed
+ * error, and the pipeline never releases a proof the verifier
+ * rejects.
  */
 inline void
-fuzzFaultInstance(std::uint64_t seed, FuzzReport &rep)
+fuzzFault(std::uint64_t seed, std::size_t, ScalarMix, FuzzFailures &out)
 {
-    auto plan = randomFaultPlan(seed);
-    auto out = runChaosPlan(plan, seed);
-    if (out.clean())
-        return;
-    std::ostringstream detail;
-    detail << "plan \"" << plan.toString() << "\": ";
-    if (out.releasedBadProof)
-        detail << "pipeline released a non-verifying proof";
-    else
-        detail << "outcome neither verifying proof nor typed error ("
-               << out.status.toString() << ")";
-    rep.failures.push_back({"fault", faultRepro(seed), detail.str()});
+    auto plan = randomPlan(proverPlans(), seed);
+    auto res = runChaosPlan(plan, seed);
+    if (!res.clean())
+        out.push_back("plan \"" + plan.toString() + "\": " +
+                      (res.releasedBadProof
+                           ? "pipeline released a non-verifying proof"
+                           : "neither a verifying proof nor a typed "
+                             "error: " + res.status.toString()));
+}
+
+/** The chaos invariant over one service run's outcome. */
+inline void
+checkServiceChaos(const faultsim::FaultPlan &plan,
+                  const ServiceChaosOutcome &res, FuzzFailures &out)
+{
+    if (!res.clean())
+        out.push_back("plan \"" + plan.toString() + "\": " +
+                      (res.releasedBadProof ? "released a bad proof"
+                                            : "broke byte identity"));
 }
 
 // ----------------------------------------------------------- workload
-
-/** Repro fragment for a workload instance (size unused). */
-inline std::string
-workloadRepro(std::uint64_t seed)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=0 --kind=workload";
-    return os.str();
-}
 
 /**
  * One realistic-workload iteration: a random N-ary Poseidon Merkle
@@ -622,7 +520,8 @@ workloadRepro(std::uint64_t seed)
  * exception.
  */
 inline void
-fuzzWorkloadInstance(std::uint64_t seed, FuzzReport &rep)
+fuzzWorkload(std::uint64_t seed, std::size_t, ScalarMix,
+             FuzzFailures &out)
 {
     using Family = zkp::Bn254Family;
     using G16 = zkp::Groth16<Family>;
@@ -643,8 +542,7 @@ fuzzWorkloadInstance(std::uint64_t seed, FuzzReport &rep)
         detail << what << " (depth=" << shape.depth << " arity="
                << shape.arity << " leaf=" << shape.leafIndex
                << " regime=" << name(regime) << ")";
-        rep.failures.push_back(
-            {"workload", workloadRepro(seed), detail.str()});
+        out.push_back(detail.str());
     };
 
     try {
@@ -677,16 +575,6 @@ fuzzWorkloadInstance(std::uint64_t seed, FuzzReport &rep)
 }
 
 // --------------------------------------------------------- ffdispatch
-
-/** Repro fragment for a cross-ISA field-dispatch instance. */
-inline std::string
-ffDispatchRepro(std::uint64_t seed, std::size_t size)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=" << size
-       << " --kind=ffdispatch";
-    return os.str();
-}
 
 /**
  * A random field-op program over two state vectors `a` and `b`: each
@@ -727,27 +615,13 @@ runFfDispatch(const FfDispatchProgram &p)
         ff::BigInt<2>::fromHex("1f3a9c0d5b");
     for (std::uint8_t op : p.ops) {
         switch (op % 7) {
-        case 0:
-            ff::mulBatch(a.data(), a.data(), b.data(), n);
-            break;
-        case 1:
-            ff::sqrBatch(b.data(), a.data(), n);
-            break;
-        case 2:
-            ff::mulcBatch(a.data(), b.data(), b[n / 2], n);
-            break;
-        case 3:
-            ff::addBatch(b.data(), b.data(), a.data(), n);
-            break;
-        case 4:
-            ff::subBatch(a.data(), a.data(), b.data(), n);
-            break;
-        case 5:
-            ff::batchInverse(a);
-            break;
-        case 6:
-            ff::powBatch(b.data(), b.data(), kExp, n);
-            break;
+        case 0: ff::mulBatch(a.data(), a.data(), b.data(), n); break;
+        case 1: ff::sqrBatch(b.data(), a.data(), n); break;
+        case 2: ff::mulcBatch(a.data(), b.data(), b[n / 2], n); break;
+        case 3: ff::addBatch(b.data(), b.data(), a.data(), n); break;
+        case 4: ff::subBatch(a.data(), a.data(), b.data(), n); break;
+        case 5: ff::batchInverse(a); break;
+        case 6: ff::powBatch(b.data(), b.data(), kExp, n); break;
         }
     }
     a.insert(a.end(), b.begin(), b.end());
@@ -771,11 +645,11 @@ struct ScopedIsa {
  * One cross-ISA differential: run the program under the portable arm,
  * then under every other arm this host supports, and compare limbs.
  * On divergence the program is greedily shrunk (drop ops, then halve
- * the state) and the repro line replays from the fuzz_driver CLI.
+ * the state).
  */
 inline void
-fuzzFfDispatchInstance(std::uint64_t seed, std::size_t size,
-                       FuzzReport &rep)
+fuzzFfDispatch(std::uint64_t seed, std::size_t size, ScalarMix,
+               FuzzFailures &out)
 {
     namespace simd = ff::simd;
     auto p = ffDispatchProgram(size, seed);
@@ -827,19 +701,18 @@ fuzzFfDispatchInstance(std::uint64_t seed, std::size_t size,
     std::ostringstream detail;
     detail << (msg ? *msg : std::string("divergence")) << "; shrunk to n="
            << p.init.size() << ", " << p.ops.size() << " op(s)";
-    rep.failures.push_back(
-        {"ffdispatch", ffDispatchRepro(seed, size), detail.str()});
+    out.push_back(detail.str());
 }
 
 // ------------------------------------------------------------- gpusim
 
 /**
  * Assert the accounting invariants of every variant's KernelStats on
- * this iteration's scalar distribution.
+ * 64 * size scalars from this instance's mix.
  */
 inline void
-fuzzGpusimInstance(std::uint64_t seed, std::size_t size,
-                   ScalarMix kind, FuzzReport &rep)
+fuzzGpusim(std::uint64_t seed, std::size_t size, ScalarMix kind,
+           FuzzFailures &out)
 {
     using namespace gzkp::msm;
     using Fr = ff::Bn254Fr;
@@ -850,11 +723,8 @@ fuzzGpusimInstance(std::uint64_t seed, std::size_t size,
 
     auto check = [&](const char *which,
                      const gpusim::KernelStats &st) {
-        for (const auto &v : gpusim::invariantViolations(st, dev)) {
-            rep.failures.push_back(
-                {"gpusim", reproLine(seed, n, kind),
-                 std::string(which) + ": " + v});
-        }
+        for (const auto &v : gpusim::invariantViolations(st, dev))
+            out.push_back(std::string(which) + ": " + v);
     };
 
     GzkpMsm<MsmCfg>::Options lb, no_lb;
@@ -878,27 +748,249 @@ fuzzGpusimInstance(std::uint64_t seed, std::size_t size,
     check("ntt-gzkp-total", gz.total());
 }
 
-// ---------------------------------------------------------- top level
+// -------------------------------------------------------------- table
 
-/** Size skewed toward small instances (where edge cases live). */
+/** A row's instance body: append one line per failure to `out`. */
+using FuzzRun = std::function<void(std::uint64_t seed, std::size_t size,
+                                   ScalarMix mix, FuzzFailures &out)>;
+
+/** A row's instance size at sweep iteration `i`. */
+using FuzzSizeRule = std::size_t (*)(std::uint64_t sweep_seed,
+                                     std::uint64_t i,
+                                     std::size_t max_msm_size);
+
+/** One fuzz target. */
+struct FuzzTarget {
+    std::string kind; //!< --kind / --only name
+    /** Cadence in the mixed sweep: iterations with i % every ==
+        offset; every == 0 keeps the row out of the sweep. */
+    std::uint64_t every = 0;
+    std::uint64_t offset = 0;
+    std::uint64_t salt = 0; //!< instance seed = deriveSeed(seed, i, salt)
+    /** Null: no size dimension (replay sweeps seeds instead). */
+    FuzzSizeRule size = nullptr;
+    bool mixed = false; //!< run() reads the scalar mix
+    FuzzRun run;
+};
+
+namespace detail {
+
+/** MSM size skewed toward small instances (where edge cases live). */
 inline std::size_t
-skewedSize(std::uint64_t r, std::size_t max_size)
+msmSize(std::uint64_t s, std::uint64_t i, std::size_t max_size)
 {
-    std::uint64_t c = r % 16;
-    if (c == 0)
+    std::uint64_t r = deriveSeed(s, i, 1);
+    if (r % 16 == 0)
         return 0;
-    if (c < 6)
+    if (r % 16 < 6)
         return 1 + (r >> 8) % 4;
     return 1 + (r >> 8) % std::max<std::size_t>(1, max_size);
 }
 
-/** The bounded fuzz loop used by tools/fuzz_driver and the tests. */
-inline FuzzReport
-fuzzAll(const FuzzOptions &opt,
-        const MsmDifferential &msm_diff = msmDifferential())
+inline std::size_t
+nttLog(std::uint64_t s, std::uint64_t i, std::size_t)
 {
-    auto ntt_diff = nttDifferential();
-    auto ntt_rt = nttRoundTripDifferential();
+    return 1 + deriveSeed(s, i, 4) % kMaxNttLog;
+}
+
+} // namespace detail
+
+/**
+ * Every fuzz target, in the order the mixed sweep runs them within an
+ * iteration. Sizes are MSM pairs (msm, batchaffine), 64-scalar blocks
+ * (gpusim), log2 of the domain (ntt, ntt-roundtrip) and state width
+ * (ffdispatch).
+ */
+inline const std::vector<FuzzTarget> &
+fuzzTargets()
+{
+    using detail::msmSize;
+    using detail::nttLog;
+    static const std::vector<FuzzTarget> rows = {
+        {"msm", 1, 0, 2, msmSize, true,
+         [](std::uint64_t seed, std::size_t size, ScalarMix mix,
+            FuzzFailures &out) {
+             static const MsmDifferential d = msmDifferential();
+             fuzzMsmInstance(d, seed, size, mix, out);
+         }},
+        {"gpusim", 8, 1, 3,
+         [](std::uint64_t s, std::uint64_t i, std::size_t max) {
+             return 1 + msmSize(s, i, max) / 4;
+         },
+         true, fuzzGpusim},
+        // The 10-variant cross-product is pricey; sample sparsely.
+        {"batchaffine", 16, 5, 9, msmSize, true,
+         [](std::uint64_t seed, std::size_t size, ScalarMix mix,
+            FuzzFailures &out) {
+             static const MsmDifferential d = batchAffineDifferential();
+             fuzzMsmInstance(d, seed, size, mix, out);
+         }},
+        {"ntt", 2, 0, 4, nttLog, true,
+         [](std::uint64_t seed, std::size_t log_n, ScalarMix mix,
+            FuzzFailures &out) {
+             static const NttDifferential d = nttDifferential();
+             fuzzNttInstance(d, seed, log_n, mix, (seed >> 32) & 1, out);
+         }},
+        {"ntt-roundtrip", 4, 0, 5,
+         [](std::uint64_t s, std::uint64_t i, std::size_t max) {
+             return std::min<std::size_t>(nttLog(s, i, max), 6);
+         },
+         true,
+         [](std::uint64_t seed, std::size_t log_n, ScalarMix mix,
+            FuzzFailures &out) {
+             static const NttDifferential d = nttRoundTripDifferential();
+             fuzzNttInstance(d, seed, log_n, mix, false, out);
+         }},
+        // Proofs are expensive; proofdet proves four times.
+        {"groth16", 40, 7, 6, nullptr, false, fuzzGroth16},
+        {"proofdet", 80, 23, 7, nullptr, false, fuzzProofDeterminism},
+        // Chaos runs may retry across both backends.
+        {"fault", 16, 11, 8, nullptr, false, fuzzFault},
+        // A full setup+prove per hit: the sparsest slot of all.
+        {"workload", 64, 13, 10, nullptr, false, fuzzWorkload},
+        // Cheap (pure field ops); run densely so the ISA arms see
+        // every scalar regime the other targets see.
+        {"ffdispatch", 4, 2, 11,
+         [](std::uint64_t s, std::uint64_t i, std::size_t) {
+             return std::size_t(1 + deriveSeed(s, i, 12) % 96);
+         },
+         false, fuzzFfDispatch},
+        // Whole-service chaos: each replays one plan of the matching
+        // ServiceChaos sweep; too slow for the mixed sweep.
+        {"service-fault", 0, 0, 0, nullptr, false,
+         [](std::uint64_t seed, std::size_t, ScalarMix, FuzzFailures &out) {
+             auto plan = randomPlan(servicePlans(), seed);
+             checkServiceChaos(plan, runServiceChaosPlan(plan, seed), out);
+         }},
+        {"overload-fault", 0, 0, 0, nullptr, false,
+         [](std::uint64_t seed, std::size_t, ScalarMix, FuzzFailures &out) {
+             auto plan = randomPlan(overloadPlans(), seed);
+             checkServiceChaos(plan, runOverloadChaosPlan(plan, seed, ""),
+                               out);
+         }},
+        {"device-fault", 0, 0, 0, nullptr, false,
+         [](std::uint64_t seed, std::size_t, ScalarMix, FuzzFailures &out) {
+             auto plan = randomPlan(devicePlans(), seed);
+             checkServiceChaos(
+                 plan,
+                 runOverloadChaosPlan(plan, seed, kDeviceChaosTopology),
+                 out);
+         }},
+    };
+    return rows;
+}
+
+/** The row named `kind`, or null. */
+inline const FuzzTarget *
+findFuzzTarget(std::string_view kind)
+{
+    for (const FuzzTarget &t : fuzzTargets())
+        if (t.kind == kind)
+            return &t;
+    return nullptr;
+}
+
+/** The repro fragment that replays exactly this instance. */
+inline std::string
+reproLine(const FuzzTarget &t, std::uint64_t seed, std::size_t size,
+          ScalarMix mix)
+{
+    std::ostringstream os;
+    os << "--seed=" << seed;
+    if (t.size != nullptr)
+        os << " --size=" << size;
+    os << " --kind=" << t.kind;
+    if (t.mixed)
+        os << ":" << name(mix);
+    return os.str();
+}
+
+/** A parsed --kind value: a row, and the mix when one was named. */
+struct FuzzKind {
+    const FuzzTarget *target = nullptr;
+    std::optional<ScalarMix> mix;
+};
+
+/**
+ * Parse "kind" or "kind:mix" (mixed rows only); nullopt when the
+ * kind or the mix is unknown.
+ */
+inline std::optional<FuzzKind>
+resolveFuzzKind(const std::string &spec)
+{
+    std::size_t colon = spec.find(':');
+    FuzzKind k;
+    k.target = findFuzzTarget(spec.substr(0, colon));
+    if (k.target == nullptr)
+        return std::nullopt;
+    if (colon == std::string::npos)
+        return k;
+    if (!k.target->mixed)
+        return std::nullopt;
+    try {
+        k.mix = scalarMixFromName(spec.substr(colon + 1));
+    } catch (const std::invalid_argument &) {
+        return std::nullopt;
+    }
+    return k;
+}
+
+/** Run one instance of `t`, reporting failures with their repro. */
+inline void
+fuzzInstance(const FuzzTarget &t, std::uint64_t seed, std::size_t size,
+             ScalarMix mix, FuzzReport &rep)
+{
+    FuzzFailures out;
+    t.run(seed, size, mix, out);
+    for (std::string &detail : out)
+        rep.failures.push_back(
+            {t.kind, reproLine(t, seed, size, mix), std::move(detail)});
+}
+
+/**
+ * Replay from a repro line: one instance at (seed, size) under the
+ * named mix. A mixed row given no mix runs under every mix; a row
+ * with no size dimension runs `size` consecutive seeds from `seed`
+ * when size > 1. `iterations` counts the instances run.
+ */
+inline FuzzReport
+replayFuzzKind(const FuzzKind &k, std::uint64_t seed, std::size_t size)
+{
+    const FuzzTarget &t = *k.target;
+    std::size_t mixes = t.mixed && !k.mix ? kScalarMixCount : 1;
+    std::size_t seeds =
+        t.size != nullptr ? 1 : std::max<std::size_t>(size, 1);
+    FuzzReport rep;
+    for (std::size_t s = 0; s < seeds; ++s) {
+        for (std::size_t m = 0; m < mixes; ++m) {
+            fuzzInstance(t, seed + s, t.size != nullptr ? size : 0,
+                         k.mix.value_or(ScalarMix(m)), rep);
+            ++rep.iterations;
+        }
+    }
+    return rep;
+}
+
+// ---------------------------------------------------------- top level
+
+struct FuzzOptions {
+    std::uint64_t seed = 1;
+    std::uint64_t iterations = 100;
+    double maxSeconds = 0;      //!< 0 = no time bound
+    std::size_t maxMsmSize = 40;
+    /** The rows to run, each at its own cadence. */
+    std::vector<FuzzTarget> targets = fuzzTargets();
+    bool verbose = false;
+};
+
+/**
+ * The bounded mixed sweep used by tools/fuzz_driver and the tests:
+ * iteration i draws one scalar mix and runs every row whose cadence
+ * hits i, in table order.
+ */
+inline FuzzReport
+fuzzAll(const FuzzOptions &opt)
+{
     auto start = std::chrono::steady_clock::now();
     auto elapsed = [&] {
         return std::chrono::duration<double>(
@@ -910,53 +1002,16 @@ fuzzAll(const FuzzOptions &opt,
     for (std::uint64_t i = 0; i < opt.iterations; ++i) {
         if (opt.maxSeconds > 0 && elapsed() > opt.maxSeconds)
             break;
-        std::uint64_t r = deriveSeed(opt.seed, i);
-        ScalarMix kind = ScalarMix(r % kScalarMixCount);
-
-        if (opt.msm) {
-            std::size_t size =
-                skewedSize(deriveSeed(opt.seed, i, 1), opt.maxMsmSize);
-            fuzzMsmInstance(msm_diff, deriveSeed(opt.seed, i, 2), size,
-                            kind, rep);
-            if (opt.gpusim && i % 8 == 1) {
-                fuzzGpusimInstance(deriveSeed(opt.seed, i, 3),
-                                   1 + size / 4, kind, rep);
-            }
-            // The 10-variant cross-product is pricey; sample sparsely.
-            if (i % 16 == 5) {
-                fuzzBatchAffineInstance(deriveSeed(opt.seed, i, 9),
-                                        size, kind, rep);
-            }
-        }
-        if (opt.ntt && i % 2 == 0) {
-            std::uint64_t s = deriveSeed(opt.seed, i, 4);
-            std::size_t log_n = 1 + s % opt.maxNttLog;
-            bool invert = (s >> 32) & 1;
-            fuzzNttInstance(ntt_diff, s, log_n, kind, invert, rep);
-            if (i % 4 == 0) {
-                fuzzNttInstance(ntt_rt, deriveSeed(opt.seed, i, 5),
-                                std::min<std::size_t>(log_n, 6), kind,
-                                false, rep);
-            }
-        }
-        if (opt.groth16 && i % opt.groth16Every == 7)
-            fuzzGroth16Instance(deriveSeed(opt.seed, i, 6), rep);
-        // Four proofs per instance, so sample sparsely.
-        if (opt.groth16 && i % (opt.groth16Every * 2) == 23)
-            fuzzProofDeterminism(deriveSeed(opt.seed, i, 7), rep);
-        // Chaos runs may retry across both backends: sample sparsely.
-        if (opt.fault && i % opt.faultEvery == 11)
-            fuzzFaultInstance(deriveSeed(opt.seed, i, 8), rep);
-        // A full setup+prove per hit: the sparsest slot of all.
-        if (opt.workload && i % opt.workloadEvery == 13)
-            fuzzWorkloadInstance(deriveSeed(opt.seed, i, 10), rep);
-        // Cheap (pure field ops); run densely so the ISA arms see
-        // every scalar regime the other targets see.
-        if (opt.ffdispatch && i % 4 == 2) {
-            std::size_t fsz =
-                1 + deriveSeed(opt.seed, i, 12) % 96;
-            fuzzFfDispatchInstance(deriveSeed(opt.seed, i, 11), fsz,
-                                   rep);
+        ScalarMix mix =
+            ScalarMix(deriveSeed(opt.seed, i) % kScalarMixCount);
+        for (const FuzzTarget &t : opt.targets) {
+            if (t.every == 0 || i % t.every != t.offset)
+                continue;
+            std::size_t size = t.size != nullptr
+                ? t.size(opt.seed, i, opt.maxMsmSize)
+                : 0;
+            fuzzInstance(t, deriveSeed(opt.seed, i, t.salt), size, mix,
+                         rep);
         }
 
         ++rep.iterations;

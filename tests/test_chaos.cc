@@ -45,6 +45,15 @@ fastOptions()
     return opt;
 }
 
+/** The fuzz_driver line that replays one plan of a chaos sweep. */
+std::string
+repro(const char *kind, std::uint64_t seed)
+{
+    return "repro: fuzz_driver " +
+        testkit::reproLine(*testkit::findFuzzTarget(kind), seed, 0,
+                           testkit::ScalarMix::Dense);
+}
+
 StatusOr<G16::Proof>
 proveUnderPlan(const std::string &spec, Prover::Report *rep = nullptr,
                Prover::Options opt = fastOptions())
@@ -301,12 +310,13 @@ TEST(Chaos, ChaosSweep)
 {
     std::size_t proofs = 0, errors = 0, demoted = 0;
     for (std::uint64_t seed = 1; seed <= 240; ++seed) {
-        auto plan = testkit::randomFaultPlan(seed);
+        auto plan = testkit::randomPlan(testkit::proverPlans(), seed);
         auto out = testkit::runChaosPlan(plan, seed);
         ASSERT_TRUE(out.clean())
-            << "seed " << seed << " plan \"" << plan.toString()
+            << "plan \"" << plan.toString()
             << "\": " << out.status.toString()
-            << (out.releasedBadProof ? " [RELEASED BAD PROOF]" : "");
+            << (out.releasedBadProof ? " [RELEASED BAD PROOF]" : "")
+            << "; " << repro("fault", seed);
         if (out.proofOk) {
             ++proofs;
             if (out.report.backendUsed != ProverBackend::Gzkp)
@@ -331,14 +341,14 @@ TEST(ChaosPlans, PinnedPerSeed)
 {
     struct Sweep {
         const char *name;
-        faultsim::FaultPlan (*plan)(std::uint64_t);
+        const testkit::PlanVocabulary &plans;
         std::uint64_t lastSeed;
     };
     const Sweep sweeps[] = {
-        {"prover", testkit::randomFaultPlan, 240},
-        {"service", testkit::randomServiceFaultPlan, 40},
-        {"overload", testkit::randomOverloadFaultPlan, 44},
-        {"device", testkit::randomDeviceFaultPlan, 24},
+        {"prover", testkit::proverPlans(), 240},
+        {"service", testkit::servicePlans(), 40},
+        {"overload", testkit::overloadPlans(), 44},
+        {"device", testkit::devicePlans(), 24},
     };
 
     const std::string path =
@@ -360,7 +370,7 @@ TEST(ChaosPlans, PinnedPerSeed)
     for (const Sweep &s : sweeps) {
         for (std::uint64_t seed = 1; seed <= s.lastSeed; ++seed) {
             std::string key = s.name + (" " + std::to_string(seed));
-            std::string got = s.plan(seed).toString();
+            std::string got = testkit::randomPlan(s.plans, seed).toString();
             auto it = pinned.find(key);
             EXPECT_TRUE(it != pinned.end() && it->second == got)
                 << "recomputed: " << key << " " << got;
@@ -488,11 +498,11 @@ TEST(ServiceChaos, ServiceChaosSweep)
 {
     std::size_t proofs = 0, errors = 0;
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-        auto plan = testkit::randomServiceFaultPlan(seed);
+        auto plan = testkit::randomPlan(testkit::servicePlans(), seed);
         auto out = testkit::runServiceChaosPlan(plan, seed);
         ASSERT_TRUE(out.clean())
-            << "seed " << seed << " plan \"" << plan.toString()
-            << "\" released a bad proof";
+            << "plan \"" << plan.toString()
+            << "\" released a bad proof; " << repro("service-fault", seed);
         proofs += out.proofsOk;
         errors += out.typedErrors + out.rejectedAtQueue;
     }
@@ -512,12 +522,13 @@ TEST(ServiceChaos, OverloadChaosSweep)
 {
     std::size_t proofs = 0, errors = 0, hedged = 0;
     for (std::uint64_t seed = 1; seed <= 44; ++seed) {
-        auto plan = testkit::randomOverloadFaultPlan(seed);
-        auto out = testkit::runOverloadChaosPlan(plan, seed);
+        auto plan = testkit::randomPlan(testkit::overloadPlans(), seed);
+        auto out = testkit::runOverloadChaosPlan(plan, seed, "");
         ASSERT_TRUE(out.clean())
-            << "seed " << seed << " plan \"" << plan.toString()
+            << "plan \"" << plan.toString()
             << (out.releasedBadProof ? "\" released a bad proof"
-                                     : "\" broke byte identity");
+                                     : "\" broke byte identity")
+            << "; " << repro("overload-fault", seed);
         proofs += out.proofsOk;
         errors += out.typedErrors + out.rejectedAtQueue;
         hedged += out.hedged;
@@ -542,12 +553,14 @@ TEST(ServiceChaos, DeviceChaosSweep)
 {
     std::size_t proofs = 0, errors = 0;
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-        auto plan = testkit::randomDeviceFaultPlan(seed);
-        auto out = testkit::runDeviceChaosPlan(plan, seed);
+        auto plan = testkit::randomPlan(testkit::devicePlans(), seed);
+        auto out = testkit::runOverloadChaosPlan(
+            plan, seed, testkit::kDeviceChaosTopology);
         ASSERT_TRUE(out.clean())
-            << "seed " << seed << " plan \"" << plan.toString()
+            << "plan \"" << plan.toString()
             << (out.releasedBadProof ? "\" released a bad proof"
-                                     : "\" broke byte identity");
+                                     : "\" broke byte identity")
+            << "; " << repro("device-fault", seed);
         proofs += out.proofsOk;
         errors += out.typedErrors + out.rejectedAtQueue;
     }
@@ -558,9 +571,10 @@ TEST(ServiceChaos, DeviceChaosSweep)
 /** The fuzz-registry fault target agrees with the direct sweep. */
 TEST(Chaos, FuzzFaultTargetSweep)
 {
-    testkit::FuzzReport rep;
-    for (std::uint64_t seed = 500; seed < 540; ++seed)
-        testkit::fuzzFaultInstance(seed, rep);
+    auto k = testkit::resolveFuzzKind("fault");
+    ASSERT_TRUE(k.has_value());
+    auto rep = testkit::replayFuzzKind(*k, 500, 40);
+    EXPECT_EQ(rep.iterations, 40u);
     EXPECT_TRUE(rep.ok()) << rep.failures.size() << " failure(s), e.g. "
                           << rep.failures[0].detail;
 }

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "gpusim/perf_model.hh"
 #include "testkit/testkit.hh"
 
@@ -26,6 +28,27 @@ failureText(const FuzzReport &rep)
         s += f.target + ": " + f.detail + " (repro: " + f.repro +
             ")\n";
     return s;
+}
+
+const FuzzTarget &
+row(const char *kind)
+{
+    const FuzzTarget *t = findFuzzTarget(kind);
+    if (t == nullptr)
+        throw std::invalid_argument(kind);
+    return *t;
+}
+
+/** The default table without the rows that run Groth16 proofs. */
+std::vector<FuzzTarget>
+rowsWithoutProofs()
+{
+    auto rows = fuzzTargets();
+    std::erase_if(rows, [](const FuzzTarget &t) {
+        return t.kind == "groth16" || t.kind == "proofdet" ||
+            t.kind == "fault" || t.kind == "workload";
+    });
+    return rows;
 }
 
 } // namespace
@@ -159,14 +182,16 @@ TEST(Shrink, BrokenMsmVariantIsCaughtAndShrunk)
         return msm::msmNaive<Cfg>(t.points, t.scalars);
     });
 
+    FuzzTarget broken = row("msm");
+    broken.run = [&d](std::uint64_t seed, std::size_t size,
+                      ScalarMix mix, FuzzFailures &out) {
+        fuzzMsmInstance(d, seed, size, mix, out);
+    };
     FuzzReport rep;
-    fuzzMsmInstance(d, /*seed=*/5, /*size=*/24, ScalarMix::Dense, rep);
+    fuzzInstance(broken, /*seed=*/5, /*size=*/24, ScalarMix::Dense, rep);
     ASSERT_EQ(rep.failures.size(), 1u) << failureText(rep);
     EXPECT_EQ(rep.failures[0].target, "msm");
-    EXPECT_NE(rep.failures[0].repro.find("--seed=5"),
-              std::string::npos);
-    EXPECT_NE(rep.failures[0].repro.find("--kind=dense"),
-              std::string::npos);
+    EXPECT_EQ(rep.failures[0].repro, "--seed=5 --size=24 --kind=msm:dense");
 
     // The shrinker itself must land at <= 4 pairs (one nonzero term
     // is enough to expose a dropped pair).
@@ -248,7 +273,7 @@ TEST(FuzzSmoke, ShortRunFindsNoDivergence)
     opt.seed = 2;
     opt.iterations = 10;
     opt.maxMsmSize = 24;
-    opt.groth16 = false; // proofs live in the slow sweep
+    opt.targets = rowsWithoutProofs(); // proofs live in the slow sweep
     auto rep = fuzzAll(opt);
     EXPECT_EQ(rep.iterations, 10u);
     EXPECT_TRUE(rep.ok()) << failureText(rep);
@@ -261,22 +286,99 @@ TEST(FuzzSmoke, TimeBoundStopsEarly)
     opt.iterations = 1000000;
     opt.maxSeconds = 0.2;
     opt.maxMsmSize = 16;
-    opt.groth16 = false;
+    opt.targets = rowsWithoutProofs();
     auto rep = fuzzAll(opt);
     EXPECT_LT(rep.iterations, 1000000u);
     EXPECT_TRUE(rep.ok()) << failureText(rep);
+}
+
+// ------------------------------------------------------ target table
+
+TEST(FuzzTable, KindsAreUniqueAndNotMixNames)
+{
+    std::set<std::string> kinds;
+    for (const FuzzTarget &t : fuzzTargets()) {
+        EXPECT_TRUE(kinds.insert(t.kind).second) << t.kind;
+        EXPECT_THROW(scalarMixFromName(t.kind), std::invalid_argument)
+            << t.kind;
+        EXPECT_TRUE(t.run) << t.kind;
+    }
+}
+
+/** Every row's repro line names that row, its mix and its size. */
+TEST(FuzzTable, ReproResolvesToItsOwnRow)
+{
+    for (const FuzzTarget &t : fuzzTargets()) {
+        std::string line = reproLine(t, 42, 3, ScalarMix::Boundary);
+        SCOPED_TRACE(line);
+        EXPECT_EQ(line.rfind("--seed=42 ", 0), 0u);
+        EXPECT_EQ(line.find(" --size=3 ") != std::string::npos,
+                  t.size != nullptr);
+        std::size_t at = line.find("--kind=");
+        ASSERT_NE(at, std::string::npos);
+        auto k = resolveFuzzKind(line.substr(at + 7));
+        ASSERT_TRUE(k.has_value());
+        EXPECT_EQ(k->target, &t);
+        if (t.mixed)
+            EXPECT_EQ(k->mix, ScalarMix::Boundary);
+        else
+            EXPECT_FALSE(k->mix.has_value());
+    }
+}
+
+TEST(FuzzTable, UnknownKindsAreRejected)
+{
+    EXPECT_FALSE(resolveFuzzKind("typo").has_value());
+    EXPECT_FALSE(resolveFuzzKind("").has_value());
+    EXPECT_FALSE(resolveFuzzKind("dense").has_value());
+    EXPECT_FALSE(resolveFuzzKind("msm:typo").has_value());
+    EXPECT_FALSE(resolveFuzzKind("fault:dense").has_value());
+    auto k = resolveFuzzKind("batchaffine");
+    ASSERT_TRUE(k.has_value());
+    EXPECT_FALSE(k->mix.has_value());
+}
+
+/**
+ * The replay rule: a row without a size dimension sweeps --size
+ * consecutive seeds; a mixed row given no mix runs every mix once.
+ */
+TEST(FuzzTable, ReplayRunsSeedsOrMixes)
+{
+    std::vector<std::pair<std::uint64_t, ScalarMix>> seen;
+    auto record = [&seen](std::uint64_t seed, std::size_t,
+                          ScalarMix mix, FuzzFailures &) {
+        seen.emplace_back(seed, mix);
+    };
+    FuzzTarget unsized{"unsized", 0, 0, 0, nullptr, false, record};
+    auto rep = replayFuzzKind({&unsized, std::nullopt}, 900, 4);
+    EXPECT_EQ(rep.iterations, 4u);
+    ASSERT_EQ(seen.size(), 4u);
+    EXPECT_EQ(seen[0].first, 900u);
+    EXPECT_EQ(seen[3].first, 903u);
+
+    seen.clear();
+    FuzzTarget mixed{"mixed", 0, 0, 0, detail::msmSize, true, record};
+    rep = replayFuzzKind({&mixed, std::nullopt}, 700, 48);
+    EXPECT_EQ(rep.iterations, kScalarMixCount);
+    ASSERT_EQ(seen.size(), kScalarMixCount);
+    for (std::size_t i = 0; i < kScalarMixCount; ++i)
+        EXPECT_EQ(seen[i], std::make_pair(std::uint64_t(700), ScalarMix(i)));
+
+    seen.clear();
+    rep = replayFuzzKind({&mixed, ScalarMix::Sparse01}, 700, 48);
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].second, ScalarMix::Sparse01);
 }
 
 // ------------------------------------------------- slow sweeps
 
 TEST(FuzzSweep, MsmVariantsAllKindsAndEdgeSizes)
 {
-    auto d = msmDifferential();
     FuzzReport rep;
     for (std::size_t k = 0; k < kScalarMixCount; ++k) {
         for (std::size_t n : {0, 1, 2, 3, 5, 16, 33}) {
-            fuzzMsmInstance(d, deriveSeed(11, k, n), n, ScalarMix(k),
-                            rep);
+            fuzzInstance(row("msm"), deriveSeed(11, k, n), n,
+                         ScalarMix(k), rep);
         }
     }
     EXPECT_TRUE(rep.ok()) << failureText(rep);
@@ -286,23 +388,24 @@ TEST(FuzzSweep, NttVariantsAndRoundTrips)
 {
     auto d = nttDifferential();
     auto rt = nttRoundTripDifferential();
-    FuzzReport rep;
+    FuzzFailures out;
     for (std::size_t log_n = 1; log_n <= 7; ++log_n) {
         for (std::size_t k = 0; k < kScalarMixCount; ++k) {
             std::uint64_t s = deriveSeed(23, log_n, k);
-            fuzzNttInstance(d, s, log_n, ScalarMix(k), false, rep);
-            fuzzNttInstance(d, s, log_n, ScalarMix(k), true, rep);
-            fuzzNttInstance(rt, s, log_n, ScalarMix(k), false, rep);
+            fuzzNttInstance(d, s, log_n, ScalarMix(k), false, out);
+            fuzzNttInstance(d, s, log_n, ScalarMix(k), true, out);
+            fuzzNttInstance(rt, s, log_n, ScalarMix(k), false, out);
         }
     }
-    EXPECT_TRUE(rep.ok()) << failureText(rep);
+    EXPECT_TRUE(out.empty()) << out.size() << " failure(s), e.g. "
+                             << out[0];
 }
 
 TEST(FuzzSweep, Groth16EndToEndWithNegatives)
 {
     FuzzReport rep;
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
-        fuzzGroth16Instance(seed, rep);
+        fuzzInstance(row("groth16"), seed, 0, ScalarMix::Dense, rep);
     EXPECT_TRUE(rep.ok()) << failureText(rep);
 }
 
@@ -310,8 +413,8 @@ TEST(FuzzSweep, GpusimInvariantsHoldAcrossKernels)
 {
     FuzzReport rep;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        fuzzGpusimInstance(seed, 1 + seed % 5,
-                           ScalarMix(seed % kScalarMixCount), rep);
+        fuzzInstance(row("gpusim"), seed, 1 + seed % 5,
+                     ScalarMix(seed % kScalarMixCount), rep);
     }
     EXPECT_TRUE(rep.ok()) << failureText(rep);
 }
@@ -322,7 +425,13 @@ TEST(FuzzSweep, LongMixedRun)
     opt.seed = 1;
     opt.iterations = 60;
     opt.maxMsmSize = 32;
-    opt.groth16Every = 20;
+    // Groth16 at i = 7, 27, 47 and proof determinism at i = 23.
+    for (FuzzTarget &t : opt.targets) {
+        if (t.kind == "groth16")
+            t.every = 20;
+        if (t.kind == "proofdet")
+            t.every = 40;
+    }
     auto rep = fuzzAll(opt);
     EXPECT_EQ(rep.iterations, 60u);
     EXPECT_TRUE(rep.ok()) << failureText(rep);

@@ -320,7 +320,8 @@ TEST(ParallelGroth16, ProofBytesIdenticalAcrossThreadCounts)
 TEST(ParallelGroth16, FuzzProofDeterminismTargetPasses)
 {
     FuzzReport rep;
-    fuzzProofDeterminism(77, rep);
+    fuzzInstance(*findFuzzTarget("proofdet"), 77, 0, ScalarMix::Dense,
+                 rep);
     EXPECT_TRUE(rep.ok())
         << (rep.failures.empty() ? "" : rep.failures[0].detail);
 }

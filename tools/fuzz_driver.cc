@@ -1,18 +1,22 @@
 /**
  * @file
- * Deterministic differential-fuzzing driver.
+ * Deterministic differential-fuzzing driver over the fuzz-target
+ * table (testkit::fuzzTargets()).
  *
  * Sweep mode (default):
  *     fuzz_driver --iterations=1000 --seed=1 [--seconds=60]
- *                 [--only=msm|ntt|groth16] [--max-size=40] [--verbose]
- * runs the bounded fuzz loop over MSM, NTT, Groth16 and the gpusim
- * accounting invariants, printing a shrunk repro line for every
- * divergence and exiting nonzero if any was found.
+ *                 [--only=KIND] [--max-size=40] [--verbose]
+ * runs the bounded mixed sweep, every row at its own cadence, printing
+ * a repro line for every divergence and exiting 1 if any was found.
+ * --only=KIND runs that one row on every iteration instead.
  *
  * Replay mode: paste a repro line printed by a failing run,
- *     fuzz_driver --seed=S --size=N --kind=K
- * and the driver rebuilds exactly that instance and runs the full
- * differential registry on it.
+ *     fuzz_driver --seed=S [--size=N] --kind=KIND[:MIX]
+ * and the driver reruns exactly that instance. A row that reads the
+ * scalar mix, given none, runs under every mix; a row without a size
+ * dimension, given --size=N > 1, runs N consecutive seeds from S.
+ *
+ * An unknown --kind or --only value, or any unknown argument, exits 2.
  */
 
 #include <cstdio>
@@ -32,8 +36,8 @@ struct Args {
     std::uint64_t iterations = 100;
     double seconds = 0;
     std::size_t maxSize = 40;
-    long long replaySize = -1; //!< >= 0 switches to replay mode
-    std::string kind = "adversarial";
+    long long size = -1; //!< -1 = not given
+    std::string kind; //!< --kind or --size switches to replay mode
     std::string only;
     bool verbose = false;
 };
@@ -57,7 +61,7 @@ parseOne(Args &a, const std::string &arg)
     else if (const char *v = val("--max-size"))
         a.maxSize = std::strtoull(v, nullptr, 0);
     else if (const char *v = val("--size"))
-        a.replaySize = std::strtoll(v, nullptr, 0);
+        a.size = std::strtoll(v, nullptr, 0);
     else if (const char *v = val("--kind"))
         a.kind = v;
     else if (const char *v = val("--only"))
@@ -67,6 +71,25 @@ parseOne(Args &a, const std::string &arg)
     else
         return false;
     return true;
+}
+
+/** Print the table's kinds after a usage error; returns exit code 2. */
+int
+kindsUsage()
+{
+    std::fprintf(stderr, "kinds:");
+    for (const auto &t : testkit::fuzzTargets())
+        std::fprintf(stderr, " %s%s", t.kind.c_str(),
+                     t.mixed ? "[:MIX]" : "");
+    std::fprintf(stderr, "\nmixes:");
+    for (std::size_t i = 0; i < testkit::kScalarMixCount; ++i)
+        std::fprintf(stderr, " %s", testkit::name(testkit::ScalarMix(i)));
+    std::fprintf(stderr,
+                 "\nusage: fuzz_driver [--iterations=N] [--seed=S] "
+                 "[--seconds=T] [--max-size=N] [--only=KIND] "
+                 "[--verbose]\n       fuzz_driver --seed=S [--size=N] "
+                 "--kind=KIND[:MIX]   (replay)\n");
+    return 2;
 }
 
 int
@@ -83,110 +106,6 @@ report(const testkit::FuzzReport &rep)
     return rep.failures.empty() ? 0 : 1;
 }
 
-int
-replay(const Args &a)
-{
-    testkit::FuzzReport rep;
-    // --kind=fault replays one chaos instance: the seeded fault plan
-    // is regenerated and driven through the self-checking prover.
-    // --size=N with N > 1 sweeps N consecutive plans (the CI smoke).
-    if (a.kind == "fault") {
-        std::size_t count =
-            a.replaySize > 1 ? std::size_t(a.replaySize) : 1;
-        std::printf("chaos: %zu plan(s) from --seed=%llu\n", count,
-                    (unsigned long long)a.seed);
-        for (std::size_t i = 0; i < count; ++i)
-            testkit::fuzzFaultInstance(a.seed + i, rep);
-        rep.iterations = count;
-        return report(rep);
-    }
-    // --kind=workload replays one realistic-workload instance (random
-    // Poseidon Merkle shape + scalar regime through the prover
-    // pipeline). --size=N with N > 1 sweeps N consecutive seeds (the
-    // CI smoke).
-    if (a.kind == "workload") {
-        std::size_t count =
-            a.replaySize > 1 ? std::size_t(a.replaySize) : 1;
-        std::printf("workload: %zu instance(s) from --seed=%llu\n",
-                    count, (unsigned long long)a.seed);
-        for (std::size_t i = 0; i < count; ++i)
-            testkit::fuzzWorkloadInstance(a.seed + i, rep);
-        rep.iterations = count;
-        return report(rep);
-    }
-    // --kind=ffdispatch replays one cross-ISA field-op program: the
-    // seeded program is regenerated and run under every compiled SIMD
-    // arm against the portable reference. --size=N sets the state
-    // width; the surrounding sweep uses N > 1 to cover the vector
-    // kernels' full-block and tail paths alike.
-    if (a.kind == "ffdispatch") {
-        std::size_t n = std::max<std::size_t>(
-            a.replaySize > 0 ? std::size_t(a.replaySize) : 1, 1);
-        std::printf(
-            "replaying --seed=%llu --size=%zu --kind=ffdispatch "
-            "(arms: %s)\n",
-            (unsigned long long)a.seed, n,
-            gzkp::ff::simd::describeActiveIsa());
-        testkit::fuzzFfDispatchInstance(a.seed, n, rep);
-        rep.iterations = 1;
-        return report(rep);
-    }
-    // --kind=proofdet replays a cross-thread-count proof-determinism
-    // instance; it has no scalar mix or size.
-    if (a.kind == "proofdet") {
-        std::printf("replaying --seed=%llu --size=0 --kind=proofdet\n",
-                    (unsigned long long)a.seed);
-        testkit::fuzzProofDeterminism(a.seed, rep);
-        rep.iterations = 1;
-        return report(rep);
-    }
-    // --kind=batchaffine replays the accumulator/GLV cross-product
-    // differential (every engine at every strategy combination). The
-    // repro line does not record the scalar mix, so all mixes are
-    // swept; instance generation is deterministic per (size, mix,
-    // seed) and therefore covers the originally diverging instance.
-    if (a.kind == "batchaffine") {
-        std::size_t n = std::size_t(a.replaySize);
-        std::printf(
-            "replaying --seed=%llu --size=%zu --kind=batchaffine\n",
-            (unsigned long long)a.seed, n);
-        for (std::size_t i = 0; i < testkit::kScalarMixCount; ++i)
-            testkit::fuzzBatchAffineInstance(
-                a.seed, n, testkit::ScalarMix(i), rep);
-        rep.iterations = testkit::kScalarMixCount;
-        return report(rep);
-    }
-    testkit::ScalarMix kind;
-    try {
-        kind = testkit::scalarMixFromName(a.kind);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s (valid kinds:", e.what());
-        for (std::size_t i = 0; i < testkit::kScalarMixCount; ++i)
-            std::fprintf(stderr, " %s",
-                         testkit::name(testkit::ScalarMix(i)));
-        std::fprintf(stderr, ")\n");
-        return 2;
-    }
-    std::size_t n = std::size_t(a.replaySize);
-    std::printf("replaying --seed=%llu --size=%zu --kind=%s\n",
-                (unsigned long long)a.seed, n, a.kind.c_str());
-    testkit::fuzzMsmInstance(testkit::msmDifferential(), a.seed, n,
-                             kind, rep);
-    // Power-of-two sizes also replay through the NTT registries.
-    if (n >= 2 && (n & (n - 1)) == 0) {
-        std::size_t log_n = 0;
-        while ((std::size_t(1) << log_n) < n)
-            ++log_n;
-        auto d = testkit::nttDifferential();
-        auto rt = testkit::nttRoundTripDifferential();
-        testkit::fuzzNttInstance(d, a.seed, log_n, kind, false, rep);
-        testkit::fuzzNttInstance(d, a.seed, log_n, kind, true, rep);
-        testkit::fuzzNttInstance(rt, a.seed, log_n, kind, false, rep);
-    }
-    rep.iterations = 1;
-    return report(rep);
-}
-
 } // namespace
 
 int
@@ -196,20 +115,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (!parseOne(a, argv[i])) {
             std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-            std::fprintf(
-                stderr,
-                "usage: fuzz_driver [--iterations=N] [--seed=S] "
-                "[--seconds=T] [--max-size=N] "
-                "[--only=msm|ntt|groth16|fault|workload|ffdispatch] "
-                "[--verbose]\n       fuzz_driver --seed=S --size=N "
-                "--kind=K   (replay one instance; --kind=proofdet "
-                "replays a proof-determinism check; --kind=fault "
-                "sweeps N chaos plans; --kind=batchaffine sweeps "
-                "the accumulator/GLV cross-product; --kind=workload "
-                "sweeps N realistic-workload instances; "
-                "--kind=ffdispatch replays a cross-ISA field-op "
-                "program)\n");
-            return 2;
+            return kindsUsage();
         }
     }
 
@@ -225,8 +131,17 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (a.replaySize >= 0)
-        return replay(a);
+    if (!a.kind.empty() || a.size >= 0) {
+        auto k = testkit::resolveFuzzKind(a.kind);
+        if (!k) {
+            std::fprintf(stderr, "unknown --kind=%s\n", a.kind.c_str());
+            return kindsUsage();
+        }
+        std::size_t size = a.size > 0 ? std::size_t(a.size) : 0;
+        std::printf("replaying --kind=%s from --seed=%llu\n",
+                    a.kind.c_str(), (unsigned long long)a.seed);
+        return report(testkit::replayFuzzKind(*k, a.seed, size));
+    }
 
     testkit::FuzzOptions opt;
     opt.seed = a.seed;
@@ -235,17 +150,14 @@ main(int argc, char **argv)
     opt.maxMsmSize = a.maxSize;
     opt.verbose = a.verbose;
     if (!a.only.empty()) {
-        opt.msm = a.only == "msm";
-        opt.ntt = a.only == "ntt";
-        opt.groth16 = a.only == "groth16";
-        opt.fault = a.only == "fault";
-        opt.workload = a.only == "workload";
-        opt.ffdispatch = a.only == "ffdispatch";
-        opt.gpusim = opt.msm;
-        if (opt.fault)
-            opt.faultEvery = 1; // dedicated chaos sweep: every iter
-        if (opt.workload)
-            opt.workloadEvery = 1; // dedicated workload sweep
+        const testkit::FuzzTarget *t = testkit::findFuzzTarget(a.only);
+        if (t == nullptr) {
+            std::fprintf(stderr, "unknown --only=%s\n", a.only.c_str());
+            return kindsUsage();
+        }
+        opt.targets = {*t};
+        opt.targets[0].every = 1; // every iteration
+        opt.targets[0].offset = 0;
     }
     return report(testkit::fuzzAll(opt));
 }
