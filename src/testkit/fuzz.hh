@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <functional>
 #include <optional>
 #include <sstream>
@@ -615,13 +614,27 @@ runFfDispatch(const FfDispatchProgram &p)
         ff::BigInt<2>::fromHex("1f3a9c0d5b");
     for (std::uint8_t op : p.ops) {
         switch (op % 7) {
-        case 0: ff::mulBatch(a.data(), a.data(), b.data(), n); break;
-        case 1: ff::sqrBatch(b.data(), a.data(), n); break;
-        case 2: ff::mulcBatch(a.data(), b.data(), b[n / 2], n); break;
-        case 3: ff::addBatch(b.data(), b.data(), a.data(), n); break;
-        case 4: ff::subBatch(a.data(), a.data(), b.data(), n); break;
-        case 5: ff::batchInverse(a); break;
-        case 6: ff::powBatch(b.data(), b.data(), kExp, n); break;
+        case 0:
+            ff::mulBatch(a.data(), a.data(), b.data(), n);
+            break;
+        case 1:
+            ff::sqrBatch(b.data(), a.data(), n);
+            break;
+        case 2:
+            ff::mulcBatch(a.data(), b.data(), b[n / 2], n);
+            break;
+        case 3:
+            ff::addBatch(b.data(), b.data(), a.data(), n);
+            break;
+        case 4:
+            ff::subBatch(a.data(), a.data(), b.data(), n);
+            break;
+        case 5:
+            ff::batchInverse(a);
+            break;
+        case 6:
+            ff::powBatch(b.data(), b.data(), kExp, n);
+            break;
         }
     }
     a.insert(a.end(), b.begin(), b.end());
@@ -980,7 +993,6 @@ struct FuzzOptions {
     std::size_t maxMsmSize = 40;
     /** The rows to run, each at its own cadence. */
     std::vector<FuzzTarget> targets = fuzzTargets();
-    bool verbose = false;
 };
 
 /**
@@ -1013,15 +1025,7 @@ fuzzAll(const FuzzOptions &opt)
             fuzzInstance(t, deriveSeed(opt.seed, i, t.salt), size, mix,
                          rep);
         }
-
         ++rep.iterations;
-        if (opt.verbose && (i + 1) % 100 == 0) {
-            std::fprintf(stderr,
-                         "[fuzz] %llu/%llu iterations, %zu failures\n",
-                         (unsigned long long)(i + 1),
-                         (unsigned long long)opt.iterations,
-                         rep.failures.size());
-        }
     }
     return rep;
 }

@@ -5,7 +5,7 @@
  *
  * Sweep mode (default):
  *     fuzz_driver --iterations=1000 --seed=1 [--seconds=60]
- *                 [--only=KIND] [--max-size=40] [--verbose]
+ *                 [--only=KIND] [--max-size=40]
  * runs the bounded mixed sweep, every row at its own cadence, printing
  * a repro line for every divergence and exiting 1 if any was found.
  * --only=KIND runs that one row on every iteration instead.
@@ -39,7 +39,6 @@ struct Args {
     long long size = -1; //!< -1 = not given
     std::string kind; //!< --kind or --size switches to replay mode
     std::string only;
-    bool verbose = false;
 };
 
 bool
@@ -66,8 +65,6 @@ parseOne(Args &a, const std::string &arg)
         a.kind = v;
     else if (const char *v = val("--only"))
         a.only = v;
-    else if (arg == "--verbose")
-        a.verbose = true;
     else
         return false;
     return true;
@@ -86,8 +83,8 @@ kindsUsage()
         std::fprintf(stderr, " %s", testkit::name(testkit::ScalarMix(i)));
     std::fprintf(stderr,
                  "\nusage: fuzz_driver [--iterations=N] [--seed=S] "
-                 "[--seconds=T] [--max-size=N] [--only=KIND] "
-                 "[--verbose]\n       fuzz_driver --seed=S [--size=N] "
+                 "[--seconds=T] [--max-size=N] [--only=KIND]\n"
+                 "       fuzz_driver --seed=S [--size=N] "
                  "--kind=KIND[:MIX]   (replay)\n");
     return 2;
 }
@@ -148,7 +145,6 @@ main(int argc, char **argv)
     opt.iterations = a.iterations;
     opt.maxSeconds = a.seconds;
     opt.maxMsmSize = a.maxSize;
-    opt.verbose = a.verbose;
     if (!a.only.empty()) {
         const testkit::FuzzTarget *t = testkit::findFuzzTarget(a.only);
         if (t == nullptr) {
