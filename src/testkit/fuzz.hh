@@ -32,6 +32,7 @@
 #define GZKP_TESTKIT_FUZZ_HH
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <functional>
 #include <optional>
@@ -323,12 +324,14 @@ nttRoundTripDifferential()
     return d;
 }
 
+/** One NTT differential on the smallest domain (>= 2) of n points. */
 inline void
 fuzzNttInstance(const NttDifferential &d, std::uint64_t seed,
-                std::size_t log_n, ScalarMix kind, bool invert,
+                std::size_t n, ScalarMix kind, bool invert,
                 FuzzFailures &out)
 {
     Rng rng(seed);
+    std::size_t log_n = std::bit_width(std::max<std::size_t>(n, 2) - 1);
     NttInput in{log_n, invert,
                 scalarVector<NttFr>(std::size_t(1) << log_n, kind, rng)};
     auto div = d.run(in);
@@ -763,15 +766,6 @@ fuzzGpusim(std::uint64_t seed, std::size_t size, ScalarMix kind,
 
 // -------------------------------------------------------------- table
 
-/** A row's instance body: append one line per failure to `out`. */
-using FuzzRun = std::function<void(std::uint64_t seed, std::size_t size,
-                                   ScalarMix mix, FuzzFailures &out)>;
-
-/** A row's instance size at sweep iteration `i`. */
-using FuzzSizeRule = std::size_t (*)(std::uint64_t sweep_seed,
-                                     std::uint64_t i,
-                                     std::size_t max_msm_size);
-
 /** One fuzz target. */
 struct FuzzTarget {
     std::string kind; //!< --kind / --only name
@@ -780,10 +774,15 @@ struct FuzzTarget {
     std::uint64_t every = 0;
     std::uint64_t offset = 0;
     std::uint64_t salt = 0; //!< instance seed = deriveSeed(seed, i, salt)
-    /** Null: no size dimension (replay sweeps seeds instead). */
-    FuzzSizeRule size = nullptr;
+    /** Instance size at sweep iteration i; null: no size dimension
+        (replay sweeps seeds instead). */
+    std::size_t (*size)(std::uint64_t seed, std::uint64_t i,
+                        std::size_t max_msm_size) = nullptr;
     bool mixed = false; //!< run() reads the scalar mix
-    FuzzRun run;
+    /** One instance: append one line per failure to `out`. */
+    std::function<void(std::uint64_t seed, std::size_t size,
+                       ScalarMix mix, FuzzFailures &out)>
+        run;
 };
 
 namespace detail {
@@ -801,9 +800,9 @@ msmSize(std::uint64_t s, std::uint64_t i, std::size_t max_size)
 }
 
 inline std::size_t
-nttLog(std::uint64_t s, std::uint64_t i, std::size_t)
+nttSize(std::uint64_t s, std::uint64_t i, std::size_t)
 {
-    return 1 + deriveSeed(s, i, 4) % kMaxNttLog;
+    return std::size_t(2) << (deriveSeed(s, i, 4) % kMaxNttLog);
 }
 
 } // namespace detail
@@ -811,14 +810,14 @@ nttLog(std::uint64_t s, std::uint64_t i, std::size_t)
 /**
  * Every fuzz target, in the order the mixed sweep runs them within an
  * iteration. Sizes are MSM pairs (msm, batchaffine), 64-scalar blocks
- * (gpusim), log2 of the domain (ntt, ntt-roundtrip) and state width
+ * (gpusim), NTT points (ntt, ntt-roundtrip) and state width
  * (ffdispatch).
  */
 inline const std::vector<FuzzTarget> &
 fuzzTargets()
 {
     using detail::msmSize;
-    using detail::nttLog;
+    using detail::nttSize;
     static const std::vector<FuzzTarget> rows = {
         {"msm", 1, 0, 2, msmSize, true,
          [](std::uint64_t seed, std::size_t size, ScalarMix mix,
@@ -838,21 +837,21 @@ fuzzTargets()
              static const MsmDifferential d = batchAffineDifferential();
              fuzzMsmInstance(d, seed, size, mix, out);
          }},
-        {"ntt", 2, 0, 4, nttLog, true,
-         [](std::uint64_t seed, std::size_t log_n, ScalarMix mix,
+        {"ntt", 2, 0, 4, nttSize, true,
+         [](std::uint64_t seed, std::size_t n, ScalarMix mix,
             FuzzFailures &out) {
              static const NttDifferential d = nttDifferential();
-             fuzzNttInstance(d, seed, log_n, mix, (seed >> 32) & 1, out);
+             fuzzNttInstance(d, seed, n, mix, (seed >> 32) & 1, out);
          }},
         {"ntt-roundtrip", 4, 0, 5,
          [](std::uint64_t s, std::uint64_t i, std::size_t max) {
-             return std::min<std::size_t>(nttLog(s, i, max), 6);
+             return std::min<std::size_t>(nttSize(s, i, max), 64);
          },
          true,
-         [](std::uint64_t seed, std::size_t log_n, ScalarMix mix,
+         [](std::uint64_t seed, std::size_t n, ScalarMix mix,
             FuzzFailures &out) {
              static const NttDifferential d = nttRoundTripDifferential();
-             fuzzNttInstance(d, seed, log_n, mix, false, out);
+             fuzzNttInstance(d, seed, n, mix, false, out);
          }},
         // Proofs are expensive; proofdet proves four times.
         {"groth16", 40, 7, 6, nullptr, false, fuzzGroth16},

@@ -392,9 +392,10 @@ TEST(FuzzSweep, NttVariantsAndRoundTrips)
     for (std::size_t log_n = 1; log_n <= 7; ++log_n) {
         for (std::size_t k = 0; k < kScalarMixCount; ++k) {
             std::uint64_t s = deriveSeed(23, log_n, k);
-            fuzzNttInstance(d, s, log_n, ScalarMix(k), false, out);
-            fuzzNttInstance(d, s, log_n, ScalarMix(k), true, out);
-            fuzzNttInstance(rt, s, log_n, ScalarMix(k), false, out);
+            std::size_t n = std::size_t(1) << log_n;
+            fuzzNttInstance(d, s, n, ScalarMix(k), false, out);
+            fuzzNttInstance(d, s, n, ScalarMix(k), true, out);
+            fuzzNttInstance(rt, s, n, ScalarMix(k), false, out);
         }
     }
     EXPECT_TRUE(out.empty()) << out.size() << " failure(s), e.g. "
